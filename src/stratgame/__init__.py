@@ -14,7 +14,6 @@ from .core import (
     ScaledBasisSpace,
     StarSpace,
     TieBreak,
-    UnionPredictor,
     basis,
     best_response,
     distance_to_hypothesis,

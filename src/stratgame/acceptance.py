@@ -179,7 +179,7 @@ def criterion_9_property_suite() -> CriterionResult:
         notes = []
         ok = _survival_sweep(notes)
         ok = _halving_contraction(notes) and ok
-        ok = _union_distance_identity(notes) and ok
+        ok = _distance_to_union_identity(notes) and ok
         ok = _loss_mistake_agreement(notes) and ok
         ok = _conservative_replay(notes) and ok
         ok = _mc_oracle_agreement(notes) and ok
@@ -265,7 +265,7 @@ def _halving_contraction(notes) -> bool:
     return True
 
 
-def _union_distance_identity(notes) -> bool:
+def _distance_to_union_identity(notes) -> bool:
     """d(x, f or g) equals the minimum of the two distances."""
     import random as _random
 

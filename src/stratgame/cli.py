@@ -6,7 +6,8 @@ Subcommands:
     oracle  exact rational loss queries against the hard families
     verify  execute the built-in acceptance suite
 
-Exit code 0 iff every requested bound check passes.
+Exit code 0 iff every requested bound check passes, 1 when one fails, and 2
+for configuration errors and contract or realizability violations.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,12 +28,16 @@ from .harness import (
 )
 from .learners import learner_names
 from .oracle import analytic_union_loss, exact_loss
+from .protocol import ContractViolation, RealizabilityError
 
 SETTINGS = ("x-delta", "x-delta-after", "delta-only", "none")
 
-_INT_KEYS = {"n", "T", "target", "budget", "base_rounds", "loss_samples",
-             "estimation_samples"}
-_FLOAT_KEYS = {"eps", "delta", "env_eps", "alpha", "c"}
+# config keys by annotated type ("int", "float | None", ...); seeds, bounds
+# and record are not plain flags
+_FIELD_TYPES = {f.name: f.type.split(" |")[0] for f in fields(ExperimentConfig)}
+_INT_KEYS = {k for k, t in _FIELD_TYPES.items() if t == "int"}
+_FLOAT_KEYS = {k for k, t in _FIELD_TYPES.items() if t == "float"}
+_FLAG_KEYS = tuple(k for k in _FIELD_TYPES if k not in ("seeds", "bounds", "record"))
 
 
 def _parse_seeds(text: str) -> list:
@@ -102,10 +108,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 values[key] = float(raw)
             else:
                 values[key] = raw
-    for key in ("env", "learner", "setting", "n", "T", "eps", "delta",
-                "env_eps", "target", "alpha", "c", "budget", "base_rounds",
-                "mode", "stream_space", "radius_law", "loss_samples",
-                "estimation_samples"):
+    for key in _FLAG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -231,7 +234,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ContractViolation, RealizabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

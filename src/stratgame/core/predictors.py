@@ -17,15 +17,25 @@ from .geometry import MetricSpace, Point
 
 
 class Hypothesis:
-    """A binary classifier given by its positive region (may be empty)."""
+    """A binary classifier given by its positive region (may be empty).
 
-    __slots__ = ("positive",)
+    ``parts`` holds the class indices the region was built from, for members
+    of a class and their unions; duplicates are allowed (random constructions
+    sample with replacement).  Hand-built regions carry ``parts=None``.
+    """
 
-    def __init__(self, positive: Iterable[Point]):
+    __slots__ = ("positive", "parts")
+
+    def __init__(self, positive: Iterable[Point], parts: tuple | None = None):
         self.positive = frozenset(positive)
+        self.parts = parts
 
     def label(self, x: Point) -> int:
         return 1 if x in self.positive else -1
+
+    def key(self) -> tuple:
+        """Sorted distinct part indices; identity of the predicted function."""
+        return tuple(sorted(set(self.parts)))
 
     def __eq__(self, other):
         return isinstance(other, Hypothesis) and self.positive == other.positive
@@ -34,6 +44,8 @@ class Hypothesis:
         return hash(self.positive)
 
     def __repr__(self):
+        if self.parts is not None:
+            return f"Hypothesis(parts={self.parts!r})"
         return f"Hypothesis({sorted(self.positive)!r})"
 
 
@@ -44,13 +56,9 @@ class HypothesisClass:
     """An ordered tuple of distinct hypotheses; learners refer to members by index."""
 
     def __init__(self, members: Sequence[Hypothesis]):
-        members = tuple(members)
-        seen = set()
-        for h in members:
-            if h.positive in seen:
-                raise ValueError("hypothesis class members must have distinct positive sets")
-            seen.add(h.positive)
-        self.members = members
+        self.members = tuple(Hypothesis(h.positive, (i,)) for i, h in enumerate(members))
+        if len({h.positive for h in self.members}) != len(self.members):
+            raise ValueError("hypothesis class members must have distinct positive sets")
 
     def __len__(self):
         return len(self.members)
@@ -58,78 +66,38 @@ class HypothesisClass:
     def __getitem__(self, i: int) -> Hypothesis:
         return self.members[i]
 
-    def union(self, indices: Iterable[int]) -> "UnionPredictor":
-        return UnionPredictor(self, tuple(indices))
+    def union(self, indices: Iterable[int]) -> Hypothesis:
+        """Predicts +1 where any listed member does; one part is the member itself."""
+        parts = tuple(indices)
+        if len(parts) == 1:
+            return self.members[parts[0]]
+        if not parts:
+            raise ValueError("a union predictor needs at least one part")
+        members = self.members
+        return Hypothesis(frozenset().union(*(members[i].positive for i in parts)), parts)
 
 
 def singleton_class(points: Sequence[Point]) -> HypothesisClass:
     return HypothesisClass([Hypothesis((p,)) for p in points])
 
 
-class UnionPredictor:
-    """Union of class members: predicts +1 where any part does.
-
-    ``parts`` are indices into the hypothesis class; duplicates are allowed
-    (random constructions sample with replacement).
-    """
-
-    __slots__ = ("hclass", "parts")
-
-    def __init__(self, hclass: HypothesisClass, parts: tuple):
-        if not parts:
-            raise ValueError("a union predictor needs at least one part")
-        self.hclass = hclass
-        self.parts = parts
-
-    def label(self, x: Point) -> int:
-        members = self.hclass.members
-        for i in self.parts:
-            if x in members[i].positive:
-                return 1
-        return -1
-
-    def positive_points(self) -> list:
-        members = self.hclass.members
-        seen = set()
-        for i in self.parts:
-            seen.update(members[i].positive)
-        return list(seen)
-
-    def key(self) -> tuple:
-        """Sorted distinct part indices; identity of the predicted function."""
-        return tuple(sorted(set(self.parts)))
-
-    def __repr__(self):
-        return f"UnionPredictor(parts={self.parts!r})"
-
-
-Predictor = Hypothesis | UnionPredictor
-
-
-def positive_points(f: Predictor) -> list:
-    if isinstance(f, Hypothesis):
-        return list(f.positive)
-    return f.positive_points()
-
-
-def predict(f: Predictor, x: Point, space: MetricSpace | None = None) -> int:
+def predict(f: Hypothesis, x: Point, space: MetricSpace | None = None) -> int:
     """Evaluate the predictor at a point; +1 iff x lies in the positive region."""
     if space is not None:
         space.check_point(x)
     return f.label(x)
 
 
-def distance_to_hypothesis(space: MetricSpace, x: Point, f: Predictor) -> float:
+def distance_to_hypothesis(space: MetricSpace, x: Point, f: Hypothesis) -> float:
     """min distance from x to the positive region; +inf when the region is empty.
 
     For unions this equals the minimum of the per-part distances.
     """
     space.check_point(x)
-    pts = positive_points(f)
-    if not pts:
+    if not f.positive:
         return math.inf
     dist = space.dist
-    return min(dist(x, p) for p in pts)
+    return min(dist(x, p) for p in f.positive)
 
 
 class ClassDistanceIndex:
@@ -175,7 +143,3 @@ class ClassDistanceIndex:
             return o
         return np.argsort(self.row(x), kind="stable")
 
-
-def union_distance(space: MetricSpace, x: Point, f: Predictor, g: Predictor) -> float:
-    """Distance to the union of two predictors (helper for identity checks)."""
-    return min(distance_to_hypothesis(space, x, f), distance_to_hypothesis(space, x, g))

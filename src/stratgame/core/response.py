@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .geometry import MetricSpace, Point, TOL
-from .predictors import Predictor, positive_points, predict
+from .predictors import Hypothesis, predict
 
 
 class Ball:
@@ -75,12 +75,12 @@ class TieBreak(Enum):
     UNIFORM_RANDOM = "uniform-random"
 
 
-def _reachable_positives(space: MetricSpace, agent: Agent, f: Predictor):
+def _reachable_positives(space: MetricSpace, agent: Agent, f: Hypothesis):
     """Points of u intersected with the positive region, with distances for balls.
 
     Returns (candidates, dists) where dists is None for explicit sets.
     """
-    pos = positive_points(f)
+    pos = f.positive
     if isinstance(agent.u, Ball):
         r = agent.u.radius
         cand, dists = [], []
@@ -95,7 +95,7 @@ def _reachable_positives(space: MetricSpace, agent: Agent, f: Predictor):
     return [p for p in pos if p in members], None
 
 
-def best_response(space: MetricSpace, agent: Agent, f: Predictor,
+def best_response(space: MetricSpace, agent: Agent, f: Hypothesis,
                   tie: TieBreak = TieBreak.FIXED_LOWEST,
                   rng: random.Random | None = None) -> Point:
     """The feature the agent presents against predictor f.
@@ -124,7 +124,7 @@ def best_response(space: MetricSpace, agent: Agent, f: Predictor,
     return cand[rng.randrange(len(cand))]
 
 
-def strategic_loss(space: MetricSpace, f: Predictor, agent: Agent) -> int:
+def strategic_loss(space: MetricSpace, f: Hypothesis, agent: Agent) -> int:
     """0/1 loss of f at the agent's manipulated feature.
 
     Case split: a negative agent loses if predicted positive at x or able to
@@ -154,7 +154,7 @@ def strategic_loss_randomized(space: MetricSpace,
     return math.fsum(w * strategic_loss(space, f, agent) for f, w in mixture)
 
 
-def population_loss(space: MetricSpace, f: Predictor, source) -> float:
+def population_loss(space: MetricSpace, f: Hypothesis, source) -> float:
     """Exact expected strategic loss over an enumerable i.i.d. support.
 
     ``source`` must expose ``support()`` returning [(agent, probability), ...];

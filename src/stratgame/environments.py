@@ -24,7 +24,7 @@ from .core.geometry import (
     matrix_point,
     scaled_basis,
 )
-from .core.predictors import HypothesisClass, positive_points, singleton_class
+from .core.predictors import HypothesisClass, singleton_class
 from .core.response import Agent, Ball, Explicit, TieBreak, strategic_loss
 from .protocol import ContractViolation, LearnerView
 
@@ -350,11 +350,9 @@ class _StarCounterState:
         dist = view.exact_distribution()
         if dist is None or len(dist) != 1 or abs(dist[0][1] - 1.0) > 1e-12:
             raise ContractViolation("this adversary needs a deterministic learner")
-        f = dist[0][0]
-        pos = positive_points(f)
-        if not pos:
+        pset = dist[0][0].positive
+        if not pset:
             return Agent(self._hub, Ball(1.0), 1)
-        pset = set(pos)
         if self._hub in pset:
             return Agent(self._hub, Ball(0.0), -1)
         spokes = sorted(p[1] for p in pset)
@@ -408,19 +406,15 @@ class _ProbingState:
 
     def _decide(self, view: LearnerView):
         env = self.env
-        dist = view.exact_distribution()
-        if dist is None:
-            view.samples = env.samples
-            dist = view.distribution()
+        dist = view.distribution(env.samples)
         p_allneg = 0.0
         p_probe = dict.fromkeys(self._probe_points, 0.0)
         weight = [0.0] * env.n
         for f, p in dist:
-            pos = positive_points(f)
-            if not pos:
+            pset = f.positive
+            if not pset:
                 p_allneg += p
                 continue
-            pset = set(pos)
             hit = False
             for pt in self._probe_points:
                 if pt in pset:

@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .core.predictors import UnionPredictor
 from .core.response import strategic_loss
 from .environments import make_environment
 from .learners import make_learner
@@ -110,7 +109,7 @@ def output_loss(cfg: ExperimentConfig, env, output, seed: int) -> float:
     families, Monte Carlo otherwise."""
     family = env.family
     tag = getattr(family, "tag", None)
-    if tag in ("appG", "appI", "appJ", "appK") and isinstance(output, UnionPredictor):
+    if tag in ("appG", "appI", "appJ", "appK") and output.parts is not None:
         return float(analytic_union_loss(tag, cfg.n, family.eps, family.target,
                                          output.parts))
     if family is not None:
@@ -126,13 +125,11 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
     setting = Setting.from_name(cfg.setting)
     if cfg.resolved_mode() == "pac":
         out, transcript = run_pac(source, learner, setting, cfg.T, seed,
-                                  record=cfg.record,
-                                  estimation_samples=cfg.estimation_samples)
+                                  record=cfg.record)
         loss = output_loss(cfg, env, out, seed)
     else:
         transcript = run_online(source, learner, setting, cfg.T, seed,
-                                record=cfg.record,
-                                estimation_samples=cfg.estimation_samples)
+                                record=cfg.record)
         loss = None
     return {"seed": seed, "mistakes": transcript.mistakes,
             "rounds": transcript.T, "output_loss": loss}
@@ -225,6 +222,8 @@ def _bound_union_budget(cfg, params, rows, agg):
     return value, float(cfg.T), cfg.T >= value
 
 
+_OUTPUT_LOSS_BOUNDS = ("expected-loss", "loss-quantile")
+
 BOUND_LIBRARY = {
     "halving-mistake-bound": _bound_halving,
     "mwmr-expected-mistake-bound": _bound_mwmr,
@@ -282,10 +281,14 @@ class MetricsReport:
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MetricsReport:
     """Execute every seed (in parallel when configured) and evaluate bounds."""
+    mode = cfg.resolved_mode()
     for spec in cfg.bounds:
-        if spec.get("name") not in BOUND_LIBRARY:
-            raise KeyError(f"unknown bound {spec.get('name')!r}; "
-                           f"known: {sorted(BOUND_LIBRARY)}")
+        name = spec.get("name")
+        if name not in BOUND_LIBRARY:
+            raise KeyError(f"unknown bound {name!r}; known: {sorted(BOUND_LIBRARY)}")
+        if name in _OUTPUT_LOSS_BOUNDS and mode != "pac":
+            raise ValueError(f"bound {name!r} needs the output losses of a pac run; "
+                             f"mode is {mode!r}")
     env = _environment(cfg)  # validate parameters before spawning workers
     _learner(cfg, len(env.hclass))  # validate learner spec
     start = time.perf_counter()

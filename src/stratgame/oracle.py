@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
-from .core.predictors import Hypothesis, UnionPredictor, positive_points
-
 EXACT_LIMIT = 7
 
 
@@ -51,13 +49,10 @@ class Region:
 
 
 def describe_region(tag: str, n: int, f) -> Region:
-    """Normalize a predictor (union, hypothesis or point iterable) to a Region."""
+    """Normalize a predictor (hypothesis or point iterable) to a Region."""
     if isinstance(f, Region):
         return f
-    if isinstance(f, (UnionPredictor, Hypothesis)):
-        pts = positive_points(f)
-    else:
-        pts = list(f)
+    pts = getattr(f, "positive", f)
     at_anchor = False
     singles = set()
     sphere = set()

@@ -21,14 +21,7 @@ import random
 from enum import Enum
 
 from .core.geometry import MetricSpace, Point, TOL
-from .core.predictors import (
-    Hypothesis,
-    HypothesisClass,
-    Predictor,
-    UnionPredictor,
-    positive_points,
-    predict,
-)
+from .core.predictors import Hypothesis, HypothesisClass, predict
 from .core.response import Agent, Ball, TieBreak, best_response, strategic_loss
 
 
@@ -155,11 +148,11 @@ def point_str(p: Point) -> str:
     return f"{tag}:{p[1]}"
 
 
-def predictor_indices(f: Predictor) -> list:
+def predictor_indices(f: Hypothesis) -> list:
     """Sorted class indices of a union; [] encodes the all-negative predictor."""
-    if isinstance(f, UnionPredictor):
-        return sorted(set(f.parts))
-    if isinstance(f, Hypothesis) and not f.positive:
+    if f.parts is not None:
+        return list(f.key())
+    if not f.positive:
         return []
     raise ValueError("predictor is not a class union; cannot serialize by index")
 
@@ -212,7 +205,7 @@ class Learner:
               setting: Setting, rng: random.Random) -> None:
         raise NotImplementedError
 
-    def choose(self, context: Point | None) -> Predictor:
+    def choose(self, context: Point | None) -> Hypothesis:
         raise NotImplementedError
 
     def observe(self, feedback: Feedback) -> None:
@@ -231,7 +224,7 @@ class Learner:
         """Exact distribution of the next choice as [(predictor, prob), ...], or None."""
         return None
 
-    def sample_predictor(self, rng: random.Random) -> Predictor:
+    def sample_predictor(self, rng: random.Random) -> Hypothesis:
         """Draw from the next-choice distribution without touching learner state."""
         dist = self.predictor_distribution()
         if dist is None:
@@ -259,7 +252,7 @@ class ConstantLearner(Learner):
     conservative = True
     requires = Setting.BLIND
 
-    def __init__(self, predictor: Predictor):
+    def __init__(self, predictor: Hypothesis):
         self.predictor = predictor
 
     def reset(self, hclass, space, setting, rng):
@@ -288,25 +281,25 @@ class LearnerView:
     """What an adaptive adversary is allowed to see of the learner.
 
     The view grants the exact next-choice distribution when the learner
-    exposes one, an M-sample empirical estimate otherwise, plus a state
-    version counter so adversaries can cache their per-state analysis.
+    exposes one, an empirical estimate from the adversary's sample count
+    otherwise, plus a state version counter so adversaries can cache their
+    per-state analysis.
     """
 
-    def __init__(self, learner: Learner, rng: random.Random, samples: int = 1000):
+    def __init__(self, learner: Learner, rng: random.Random):
         self.learner = learner
         self.rng = rng
-        self.samples = samples
 
     def exact_distribution(self):
         return self.learner.predictor_distribution()
 
-    def distribution(self):
+    def distribution(self, samples: int):
         exact = self.learner.predictor_distribution()
         if exact is not None:
             return exact
-        w = 1.0 / self.samples
+        w = 1.0 / samples
         return [(self.learner.sample_predictor(self.rng), w)
-                for _ in range(self.samples)]
+                for _ in range(samples)]
 
     def version(self) -> int:
         return self.learner.state_version()
@@ -330,7 +323,7 @@ def _assert_recovery(space, agent, f, delta, y_hat):
     if y_hat == 1:
         dist = space.dist
         x = agent.x
-        dmin = min(dist(x, p) for p in positive_points(f))
+        dmin = min(dist(x, p) for p in f.positive)
         assert dist(x, delta) <= dmin + TOL
         assert predict(f, delta) == 1
     else:
@@ -340,16 +333,19 @@ def _assert_recovery(space, agent, f, delta, y_hat):
 def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpace,
               tie: TieBreak = TieBreak.FIXED_LOWEST,
               rng: random.Random | None = None, t: int = 1,
-              check_recovery: bool = True, deliver: bool = True) -> RoundRecord:
-    """Execute one protocol round and return its record."""
+              withhold_correct: bool = False) -> RoundRecord:
+    """Execute one protocol round and return its record.
+
+    ``withhold_correct`` suppresses feedback on correct rounds; used by the
+    conservative-learner replay test.
+    """
     context = agent.x if setting is Setting.X_BEFORE else None
     f = learner.choose(context)
     delta = best_response(space, agent, f, tie, rng)
     y_hat = predict(f, delta)
-    if (check_recovery and isinstance(agent.u, Ball)
-            and setting.info_level >= Setting.XD_AFTER.info_level):
+    if isinstance(agent.u, Ball) and setting.info_level >= Setting.XD_AFTER.info_level:
         _assert_recovery(space, agent, f, delta, y_hat)
-    if deliver:
+    if not (withhold_correct and y_hat == agent.y):
         learner.observe(build_feedback(setting, agent, delta, y_hat))
     return RoundRecord(t, agent.x, f, delta, y_hat, agent.y)
 
@@ -361,10 +357,10 @@ def _check_setting(learner: Learner, setting: Setting) -> None:
             f"or stronger, got {setting.value!r}")
 
 
-def _agent_supply(source, learner, streams, estimation_samples):
+def _agent_supply(source, learner, streams):
     kind = getattr(source, "kind", None)
     if kind == "adaptive":
-        view = LearnerView(learner, streams.estimate, estimation_samples)
+        view = LearnerView(learner, streams.estimate)
         adv = source.fresh()
         return lambda t: adv.next_agent(view)
     if kind == "sequence":
@@ -382,18 +378,19 @@ def _agent_supply(source, learner, streams, estimation_samples):
 
 def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                tie: TieBreak | None = None, record: str = "full",
-               check_realizability: str = "target", check_recovery: bool = True,
-               estimation_samples: int = 1000,
+               check_realizability: str = "target",
                withhold_correct: bool = False) -> Transcript:
     """Run T interaction rounds and return the transcript.
 
     ``record="counts"`` keeps only the mistake count (for long simulations).
     ``check_realizability``: "target" verifies the declared target has zero
     loss on every emitted agent, "full" additionally tracks the set of
-    consistent class members, "off" disables the check.
-    ``withhold_correct`` suppresses feedback on correct rounds; used by the
-    conservative-learner replay test.
+    consistent class members.
+    ``withhold_correct`` is passed on to every ``run_round``.
     """
+    if check_realizability not in ("target", "full"):
+        raise ValueError(f"check_realizability must be 'target' or 'full', "
+                         f"got {check_realizability!r}")
     space: MetricSpace = source.space
     hclass: HypothesisClass = source.hclass
     tie = tie if tie is not None else getattr(source, "tie", TieBreak.FIXED_LOWEST)
@@ -401,42 +398,32 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
 
     streams = RngStreams(seed)
     learner.reset(hclass, space, setting, streams.learner)
-    next_agent = _agent_supply(source, learner, streams, estimation_samples)
+    next_agent = _agent_supply(source, learner, streams)
 
     transcript = Transcript(setting, seed, T)
     full = record == "full"
-    if source.target is None and check_realizability == "target":
+    if source.target is None:
         # no fixed target declared (adaptive adversaries that commit lazily):
         # fall back to tracking the consistent set
         check_realizability = "full"
-    check_t = check_realizability == "target"
-    target = hclass.union((source.target,)) if check_t else None
-    consistent = list(range(len(hclass))) if check_realizability == "full" else None
-    x_before = setting is Setting.X_BEFORE
-    recovery = check_recovery and setting.info_level >= Setting.XD_AFTER.info_level
+    target = hclass[source.target] if check_realizability == "target" else None
+    consistent = list(range(len(hclass))) if target is None else None
     tie_rng = streams.tie
 
     for t in range(1, T + 1):
         agent = next_agent(t)
-        if check_t and strategic_loss(space, target, agent) != 0:
+        if target is not None and strategic_loss(space, target, agent) != 0:
             raise RealizabilityError(t, "declared target misclassifies the emitted agent")
         if consistent is not None:
             consistent = [i for i in consistent
-                          if strategic_loss(space, hclass.union((i,)), agent) == 0]
+                          if strategic_loss(space, hclass[i], agent) == 0]
             if not consistent:
                 raise RealizabilityError(t, "no class member is consistent with the stream")
-        f = learner.choose(agent.x if x_before else None)
-        delta = best_response(space, agent, f, tie, tie_rng)
-        y_hat = predict(f, delta)
-        mistake = y_hat != agent.y
-        if recovery and isinstance(agent.u, Ball):
-            _assert_recovery(space, agent, f, delta, y_hat)
-        if not (withhold_correct and not mistake):
-            learner.observe(build_feedback(setting, agent, delta, y_hat))
-        if mistake:
+        rec = run_round(agent, learner, setting, space, tie, tie_rng, t, withhold_correct)
+        if rec.mistake:
             transcript.mistakes += 1
         if full:
-            transcript.rounds.append(RoundRecord(t, agent.x, f, delta, y_hat, agent.y))
+            transcript.rounds.append(rec)
         if learner.finished:
             transcript.T = t
             break

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from stratgame.cli import main
+from stratgame.cli import _config_from_args, build_parser, main
+from stratgame.harness import ExperimentConfig
 
 
 def test_run_subcommand_json(tmp_path, capsys):
@@ -107,3 +108,34 @@ def test_unknown_bound_is_reported(capsys):
                  "--seeds", "1", "--bound", "speed-of-light"])
     assert code == 2
     assert "unknown bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--env", "appJ", "--learner", "halving", "--setting", "none", "--n", "8",
+      "--eps", "0.01", "--T", "50", "--seeds", "1"], "needs setting 'x-delta'"),
+    (["--env", "appK", "--learner", "mwmr", "--n", "4", "--eps", "0.05",
+      "--T", "50", "--seeds", "2"], "not realizable"),
+])
+def test_contract_and_realizability_errors_are_one_line(capsys, argv, message):
+    code = main(["run"] + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_config_file_reads_every_field_with_its_type(tmp_path):
+    values = {
+        "env": "appG", "learner": "boost:random-union", "setting": "x-delta",
+        "n": 7, "T": 11, "mode": "pac", "eps": 0.05, "delta": 0.1, "env_eps": 0.04,
+        "target": 3, "alpha": 0.2, "budget": 9, "base_rounds": 13, "c": 0.25,
+        "estimation_samples": 17, "stream_space": "scaled-basis",
+        "radius_law": "const:0.5", "loss_samples": 19,
+    }
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    got = _config_from_args(build_parser().parse_args(["run", "--config", str(cfg)]))
+    for key, value in values.items():
+        assert getattr(got, key) == value and type(getattr(got, key)) is type(value), key
+    skipped = {"seeds", "bounds", "record"}
+    assert set(values) == set(ExperimentConfig.__dataclass_fields__) - skipped

@@ -185,3 +185,16 @@ def test_unknown_bound_name_rejected():
     cfg = _small_cfg(bounds=[{"name": "lower-is-better"}])
     with pytest.raises(KeyError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("spec", [{"name": "expected-loss"},
+                                  {"name": "loss-quantile", "limit": 0.1}])
+def test_output_loss_bound_rejected_on_online_run_before_any_seed(monkeypatch, spec):
+    from stratgame import harness
+
+    def no_seed(cfg, seed):
+        raise AssertionError("a seed ran before the bound/mode check")
+
+    monkeypatch.setattr(harness, "run_single_seed", no_seed)
+    with pytest.raises(ValueError, match=f"{spec['name']}.*online"):
+        run_experiment(_small_cfg(bounds=[spec]))

@@ -18,11 +18,9 @@ from stratgame.core.predictors import (
     ClassDistanceIndex,
     Hypothesis,
     HypothesisClass,
-    UnionPredictor,
     distance_to_hypothesis,
     predict,
     singleton_class,
-    union_distance,
 )
 
 
@@ -83,7 +81,7 @@ def test_union_distance_identity_sampled(star8):
         x = pts[rng.randrange(len(pts))]
         combined = hclass.union(tuple(set(f.parts) | set(g.parts)))
         lhs = distance_to_hypothesis(space, x, combined)
-        rhs = union_distance(space, x, f, g)
+        rhs = min(distance_to_hypothesis(space, x, f), distance_to_hypothesis(space, x, g))
         assert abs(lhs - rhs) <= 1e-9
 
 
@@ -96,7 +94,7 @@ def test_class_rejects_duplicates():
 def test_union_needs_parts(star8):
     _, hclass = star8
     with pytest.raises(ValueError):
-        UnionPredictor(hclass, ())
+        hclass.union(())
 
 
 def test_union_key_dedupes(star8):

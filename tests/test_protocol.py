@@ -161,6 +161,16 @@ def test_full_consistency_check(star5):
                    check_realizability="full")
 
 
+@pytest.mark.parametrize("mode", ["off", "targte", None])
+def test_check_realizability_accepts_only_target_or_full(star5, mode):
+    space, hclass = star5
+    from stratgame.environments import SequenceSource
+    src = SequenceSource(space, hclass, 0, [Agent(matrix_point(1), Ball(0.0), 1)])
+    with pytest.raises(ValueError, match="check_realizability"):
+        run_online(src, make_learner("seq-elim"), Setting.BLIND, 1, 0,
+                   check_realizability=mode)
+
+
 def test_conservative_replay_identity():
     # withholding correct-round feedback leaves conservative learners unchanged
     env = make_environment("random-realizable", 8, stream_space="star")
@@ -194,12 +204,12 @@ def test_recovery_identity_holds_on_ball_runs(star5):
     env = make_environment("random-realizable", 5, stream_space="star")
     src = env.source_for_run(11, 50)
     learner = make_learner("mwmr")
-    tr = run_online(src, learner, Setting.XD_AFTER, 50, 11, check_recovery=True)
+    tr = run_online(src, learner, Setting.XD_AFTER, 50, 11)
     space = src.space
     for rec in tr.rounds:
         if rec.y_hat == 1:
             dists = [space.dist(rec.context, p)
-                     for p in rec.predictor.positive_points()]
+                     for p in rec.predictor.positive]
             assert space.dist(rec.context, rec.delta) <= min(dists) + 1e-9
         else:
             assert rec.delta == rec.context
