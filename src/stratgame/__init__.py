@@ -33,6 +33,7 @@ from .protocol import (
     Feedback,
     Learner,
     RealizabilityError,
+    RecoveryError,
     RoundRecord,
     Setting,
     Transcript,

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core.response import strategic_loss
+from .core.response import ManipulationSet, strategic_loss
 from .environments import make_environment
 from .harness import ExperimentConfig, monte_carlo_loss, run_experiment
 from .learners import make_learner
@@ -192,16 +192,29 @@ def criterion_9_property_suite() -> CriterionResult:
 
 def _survival_sweep(notes) -> bool:
     """1000 short realizable runs across learners and environments: the
-    target singleton always survives every update rule."""
+    target singleton always survives every update rule the environment's
+    manipulation sets admit."""
     from .environments import (PrefixSetFamily, SphereRadiusFamily,
                                StarSpokeFamily)
 
+    def stream(space_name):
+        return lambda n, target, seed: make_environment(
+            "random-realizable", n, target=target,
+            stream_space=space_name).source_for_run(seed, 25)
+
+    builders = {
+        "star-stream": stream("star"),
+        "basis-stream": stream("scaled-basis"),
+        "appG": lambda n, target, seed: SphereRadiusFamily(n, 1.0 / (4 * n), target=target),
+        "appJ": lambda n, target, seed: StarSpokeFamily(n, 1.0 / (4 * n), target=target),
+        "appK": lambda n, target, seed: PrefixSetFamily(n, 0.12, target=target),
+    }
     combos = []
     for learner_name in ("halving", "mwmr", "random-union", "seq-elim"):
-        for env_kind in ("star-stream", "basis-stream", "appG", "appJ", "appK"):
-            if env_kind == "appK" and learner_name != "seq-elim":
-                continue  # distance-based updates need ball manipulations
-            combos.append((learner_name, env_kind))
+        need = make_learner(learner_name).manipulation
+        for env_kind, build in builders.items():
+            if need is ManipulationSet or build(4, 0, 0).manipulation is need:
+                combos.append((learner_name, env_kind))
     runs_per_combo = math.ceil(1000 / len(combos))
     total = 0
     for combo_idx, (learner_name, env_kind) in enumerate(combos):
@@ -211,20 +224,7 @@ def _survival_sweep(notes) -> bool:
         for rep in range(runs_per_combo):
             seed = combo_idx * 100_003 + rep
             n = 4 + (rep % 5)
-            target = rep % n
-            if env_kind == "star-stream":
-                env = make_environment("random-realizable", n, target=target,
-                                       stream_space="star")
-            elif env_kind == "basis-stream":
-                env = make_environment("random-realizable", n, target=target,
-                                       stream_space="scaled-basis")
-            elif env_kind == "appG":
-                env = SphereRadiusFamily(n, 1.0 / (4 * n), target=target)
-            elif env_kind == "appJ":
-                env = StarSpokeFamily(n, 1.0 / (4 * n), target=target)
-            else:
-                env = PrefixSetFamily(n, 0.12, target=target)
-            source = env.source_for_run(seed, 25) if hasattr(env, "source_for_run") else env
+            source = builders[env_kind](n, rep % n, seed)
             learner = make_learner(learner_name)
             run_online(source, learner, setting, 25, seed, record="counts")
             if source.target not in learner.alive_indices:

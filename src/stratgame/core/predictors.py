@@ -59,6 +59,14 @@ class HypothesisClass:
         self.members = tuple(Hypothesis(h.positive, (i,)) for i, h in enumerate(members))
         if len({h.positive for h in self.members}) != len(self.members):
             raise ValueError("hypothesis class members must have distinct positive sets")
+        self._indexes: dict = {}
+
+    def distance_index(self, space: MetricSpace) -> "ClassDistanceIndex":
+        """The one distance index of this class on ``space``, built on first use."""
+        index = self._indexes.get(space)
+        if index is None:
+            index = self._indexes[space] = ClassDistanceIndex(space, self)
+        return index
 
     def __len__(self):
         return len(self.members)
@@ -104,8 +112,13 @@ class ClassDistanceIndex:
     """Vectorized point-to-member distances for one (space, class) pair.
 
     ``row(x)`` returns d(x, h) for every class member as a numpy array and
-    ``order(x)`` the member indices sorted by (distance, index).  Rows are
-    cached per point on enumerable spaces, where the same features recur.
+    ``order(x)`` the member indices sorted by (distance, index).  There is one
+    index per (class, space), obtained through ``hclass.distance_index(space)``
+    and shared by every learner, seed and wrapper round on that pair.  Rows
+    and orders are cached per point on enumerable spaces, where the same
+    features recur, and the cached arrays are read-only so that no learner
+    can change them under the others.  Non-enumerable spaces (permutation
+    spheres) compute a fresh row on every call.
     """
 
     def __init__(self, space: MetricSpace, hclass: HypothesisClass):
@@ -130,6 +143,7 @@ class ClassDistanceIndex:
             r = self._cache_rows.get(x)
             if r is None:
                 r = self._compute_row(x)
+                r.flags.writeable = False
                 self._cache_rows[x] = r
             return r
         return self._compute_row(x)
@@ -139,6 +153,7 @@ class ClassDistanceIndex:
             o = self._cache_orders.get(x)
             if o is None:
                 o = np.argsort(self.row(x), kind="stable")
+                o.flags.writeable = False
                 self._cache_orders[x] = o
             return o
         return np.argsort(self.row(x), kind="stable")

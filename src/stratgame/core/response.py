@@ -54,6 +54,15 @@ class Explicit:
 ManipulationSet = Ball | Explicit
 
 
+def manipulation_type(agents: Iterable["Agent"]):
+    """``Ball`` or ``Explicit`` when every agent's set is of that kind (``Ball``
+    for no agents), ``ManipulationSet`` for a mix of both."""
+    kinds = {type(a.u) for a in agents}
+    if kinds <= {Ball}:
+        return Ball
+    return Explicit if kinds == {Explicit} else ManipulationSet
+
+
 class Agent:
     __slots__ = ("x", "u", "y")
 

@@ -25,7 +25,8 @@ from .core.geometry import (
     scaled_basis,
 )
 from .core.predictors import HypothesisClass, singleton_class
-from .core.response import Agent, Ball, Explicit, TieBreak, strategic_loss
+from .core.response import (Agent, Ball, Explicit, TieBreak, manipulation_type,
+                            strategic_loss)
 from .protocol import ContractViolation, LearnerView
 
 SPOT_CHECK_SAMPLES = 10_000
@@ -84,6 +85,7 @@ class FiniteIIDSource:
         self.tie = tie
         self.atoms = list(atoms)
         self._agents = [a for a, _ in self.atoms]
+        self.manipulation = manipulation_type(self._agents)
         self._cum = []
         acc = 0.0
         for _, p in self.atoms:
@@ -117,6 +119,7 @@ class SphereRadiusFamily:
 
     kind = "iid"
     tag = "appG"
+    manipulation = Ball
     tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
@@ -170,6 +173,7 @@ class SphereRankFamily:
 
     kind = "iid"
     tag = "appI"
+    manipulation = Ball
     tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
@@ -222,6 +226,7 @@ class StarSpokeFamily:
 
     kind = "iid"
     tag = "appJ"
+    manipulation = Ball
     tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
@@ -265,6 +270,7 @@ class PrefixSetFamily:
 
     kind = "iid"
     tag = "appK"
+    manipulation = Explicit
     tie = TieBreak.UNIFORM_RANDOM
 
     def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
@@ -325,6 +331,7 @@ class StarCounterAdversary:
 
     kind = "adaptive"
     tag = "star-ex42"
+    manipulation = Ball
     tie = TieBreak.FIXED_LOWEST
     target = None
 
@@ -378,6 +385,7 @@ class ProbingAdversary:
 
     kind = "adaptive"
     tag = "appE"
+    manipulation = Ball
     tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, target: int | None = None, c: float | None = None,
@@ -492,6 +500,7 @@ class SequenceSource:
         self.target = target
         self.agents = agents
         self.tie = tie
+        self.manipulation = manipulation_type(agents)
 
 
 def random_realizable_stream(space: MetricSpace, hclass: HypothesisClass,
@@ -532,6 +541,11 @@ class EnvSpec:
         self.target = target
         self.shared = shared
         self._stream_args = stream_args
+
+    @property
+    def manipulation(self):
+        """Kind of the agents' manipulation sets; random streams use balls."""
+        return Ball if self.shared is None else self.shared.manipulation
 
     @property
     def family(self):

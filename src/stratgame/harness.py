@@ -20,7 +20,7 @@ from .core.response import strategic_loss
 from .environments import make_environment
 from .learners import make_learner
 from .oracle import analytic_union_loss
-from .protocol import Setting, run_online, run_pac
+from .protocol import Setting, check_learner, run_online, run_pac
 
 SCHEMA_VERSION = 1
 
@@ -290,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Metrics
             raise ValueError(f"bound {name!r} needs the output losses of a pac run; "
                              f"mode is {mode!r}")
     env = _environment(cfg)  # validate parameters before spawning workers
-    _learner(cfg, len(env.hclass))  # validate learner spec
+    check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
     start = time.perf_counter()
     threads = _threads() if threads is None else max(1, threads)
     seeds = list(cfg.seeds)

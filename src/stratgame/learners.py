@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core.geometry import TOL
-from .core.predictors import ClassDistanceIndex
+from .core.response import Ball
 from .protocol import ContractViolation, Feedback, Learner, RealizabilityError, Setting
 
 
@@ -33,12 +33,14 @@ def _remove_by_distance(row: np.ndarray, alive: np.ndarray, d_f: float, y: int
 class _VersionSpaceLearner(Learner):
     """Shared machinery: alive-index bookkeeping and distance-based removal."""
 
+    manipulation = Ball
+
     def reset(self, hclass, space, setting, rng):
         self.hclass = hclass
         self.space = space
         self.setting = setting
         self.rng = rng
-        self.index = ClassDistanceIndex(space, hclass)
+        self.index = hclass.distance_index(space)
         self.alive = np.arange(len(hclass))
         self.rounds_seen = 0
         self._version = 0
@@ -297,6 +299,7 @@ class LongestSurvivor(Learner):
         self.config = config
         self.name = f"survivor:{base.name}"
         self.requires = base.requires
+        self.manipulation = base.manipulation
 
     def reset(self, hclass, space, setting, rng):
         self.base.reset(hclass, space, setting, rng)
@@ -380,6 +383,7 @@ class BoostLearner(Learner):
         self.name = f"boost:{base_name}"
         self._probe = base_factory()
         self.requires = self._probe.requires
+        self.manipulation = self._probe.manipulation
 
     def reset(self, hclass, space, setting, rng):
         self.hclass = hclass

@@ -22,7 +22,8 @@ from enum import Enum
 
 from .core.geometry import MetricSpace, Point, TOL
 from .core.predictors import Hypothesis, HypothesisClass, predict
-from .core.response import Agent, Ball, TieBreak, best_response, strategic_loss
+from .core.response import (Agent, Ball, ManipulationSet, TieBreak, best_response,
+                            strategic_loss)
 
 
 class ContractViolation(RuntimeError):
@@ -37,29 +38,39 @@ class RealizabilityError(RuntimeError):
         self.round_index = round_index
 
 
+class RecoveryError(RuntimeError):
+    """A ball agent's manipulated feature broke the recovery identity.
+
+    With x known, the manipulated feature of a ball agent follows from the
+    prediction alone; a round that breaks this exposes a faulty best response.
+    """
+
+    def __init__(self, round_index: int, message: str):
+        super().__init__(f"round {round_index}: {message}")
+        self.round_index = round_index
+
+
 class Setting(Enum):
-    """Information regime, ordered by how much the learner gets to see."""
+    """Information regime, ordered by how much the learner gets to see.
 
-    X_BEFORE = "x-delta"
-    XD_AFTER = "x-delta-after"
-    DELTA_ONLY = "delta-only"
-    BLIND = "none"
+    Each member carries its facts as plain attributes, so the round loop
+    reads them without a lookup on the enum class.
+    """
 
-    @property
-    def info_level(self) -> int:
-        return _INFO_LEVEL[self]
+    X_BEFORE = ("x-delta", 3)
+    XD_AFTER = ("x-delta-after", 2)
+    DELTA_ONLY = ("delta-only", 1)
+    BLIND = ("none", 0)
 
-    @property
-    def reveals_x_before(self) -> bool:
-        return self is Setting.X_BEFORE
-
-    @property
-    def reveals_x_after(self) -> bool:
-        return self is Setting.XD_AFTER
-
-    @property
-    def reveals_delta(self) -> bool:
-        return self is not Setting.BLIND
+    def __new__(cls, value: str, info_level: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.info_level = info_level
+        member.reveals_x_before = info_level == 3
+        member.reveals_x_after = info_level == 2
+        member.reveals_x = info_level >= 2  # before choosing or after the round
+        member.reveals_delta = info_level >= 1
+        return member
 
     @classmethod
     def from_name(cls, name: str) -> "Setting":
@@ -68,14 +79,6 @@ class Setting(Enum):
                 return s
         raise ValueError(f"unknown setting {name!r}; choose from "
                          f"{[s.value for s in cls]}")
-
-
-_INFO_LEVEL = {
-    Setting.X_BEFORE: 3,
-    Setting.XD_AFTER: 2,
-    Setting.DELTA_ONLY: 1,
-    Setting.BLIND: 0,
-}
 
 
 class Feedback:
@@ -119,9 +122,9 @@ class Feedback:
 
 
 def build_feedback(setting: Setting, agent: Agent, delta: Point, y_hat: int) -> Feedback:
-    if setting is Setting.XD_AFTER:
+    if setting.reveals_x_after:
         return Feedback(agent.y, y_hat, agent.x, delta)
-    if setting is Setting.BLIND:
+    if not setting.reveals_delta:
         return Feedback(agent.y, y_hat, None, None)
     return Feedback(agent.y, y_hat, None, delta)
 
@@ -176,7 +179,7 @@ class Transcript:
             "y_hat": rec.y_hat,
             "mistake": rec.mistake,
         }
-        if self.setting.reveals_x_before or self.setting.reveals_x_after:
+        if self.setting.reveals_x:
             d["x"] = point_str(rec.context)
         if self.setting.reveals_delta:
             d["delta"] = point_str(rec.delta)
@@ -191,8 +194,10 @@ class Learner:
     """Behavioral contract every learning algorithm implements.
 
     ``requires`` is the minimum information level the learner needs; a
-    learner may always run in a strictly more informative setting.  The
-    ``conservative`` flag promises that withholding feedback from correct
+    learner may always run in a strictly more informative setting.
+    ``manipulation`` is the kind of manipulation set its update rule is valid
+    for: ``Ball`` for distance-based elimination, ``ManipulationSet`` for any.
+    The ``conservative`` flag promises that withholding feedback from correct
     rounds leaves the chosen predictor sequence unchanged, which the test
     suite verifies by replay.
     """
@@ -200,6 +205,7 @@ class Learner:
     name = "learner"
     conservative = False
     requires = Setting.BLIND
+    manipulation = ManipulationSet
 
     def reset(self, hclass: HypothesisClass, space: MetricSpace,
               setting: Setting, rng: random.Random) -> None:
@@ -316,18 +322,23 @@ class RngStreams:
         self.estimate = random.Random(f"{seed}:estimate")
 
 
-def _assert_recovery(space, agent, f, delta, y_hat):
+def _check_recovery(space, agent, f, delta, y_hat, t):
     # With x in hand, the manipulated feature of a ball agent is recoverable
     # from y_hat alone: the closest positive point if predicted positive, x
     # itself otherwise.
+    x = agent.x
     if y_hat == 1:
         dist = space.dist
-        x = agent.x
         dmin = min(dist(x, p) for p in f.positive)
-        assert dist(x, delta) <= dmin + TOL
-        assert predict(f, delta) == 1
-    else:
-        assert delta == agent.x
+        if dist(x, delta) > dmin + TOL:
+            raise RecoveryError(t, f"manipulated feature {delta!r} is farther from "
+                                   f"{x!r} than the closest positive point")
+        if predict(f, delta) != 1:
+            raise RecoveryError(t, f"predicted positive but the manipulated feature "
+                                   f"{delta!r} is not in the positive region")
+    elif delta != x:
+        raise RecoveryError(t, f"predicted negative but the agent moved from {x!r} "
+                               f"to {delta!r}")
 
 
 def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpace,
@@ -339,22 +350,34 @@ def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpa
     ``withhold_correct`` suppresses feedback on correct rounds; used by the
     conservative-learner replay test.
     """
-    context = agent.x if setting is Setting.X_BEFORE else None
+    context = agent.x if setting.reveals_x_before else None
     f = learner.choose(context)
     delta = best_response(space, agent, f, tie, rng)
     y_hat = predict(f, delta)
-    if isinstance(agent.u, Ball) and setting.info_level >= Setting.XD_AFTER.info_level:
-        _assert_recovery(space, agent, f, delta, y_hat)
+    if setting.reveals_x and isinstance(agent.u, Ball):
+        _check_recovery(space, agent, f, delta, y_hat, t)
     if not (withhold_correct and y_hat == agent.y):
         learner.observe(build_feedback(setting, agent, delta, y_hat))
     return RoundRecord(t, agent.x, f, delta, y_hat, agent.y)
 
 
-def _check_setting(learner: Learner, setting: Setting) -> None:
+def check_learner(learner: Learner, setting: Setting, source) -> None:
+    """Reject a learner that the setting or the source's agents do not suit.
+
+    ``source`` declares ``manipulation``, the kind of its agents' sets; an
+    undeclared source counts as mixed.  Raises ContractViolation; called
+    before round 1.
+    """
     if setting.info_level < learner.requires.info_level:
         raise ContractViolation(
             f"learner {learner.name!r} needs setting {learner.requires.value!r} "
             f"or stronger, got {setting.value!r}")
+    need = learner.manipulation
+    have = getattr(source, "manipulation", ManipulationSet)
+    if need is not ManipulationSet and have is not need:
+        raise ContractViolation(
+            f"learner {learner.name!r} needs {need.__name__} manipulation sets, "
+            f"but the agents have {getattr(have, '__name__', 'mixed')} ones")
 
 
 def _agent_supply(source, learner, streams):
@@ -394,7 +417,7 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     space: MetricSpace = source.space
     hclass: HypothesisClass = source.hclass
     tie = tie if tie is not None else getattr(source, "tie", TieBreak.FIXED_LOWEST)
-    _check_setting(learner, setting)
+    check_learner(learner, setting, source)
 
     streams = RngStreams(seed)
     learner.reset(hclass, space, setting, streams.learner)

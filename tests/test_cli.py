@@ -113,10 +113,21 @@ def test_unknown_bound_is_reported(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--env", "appJ", "--learner", "halving", "--setting", "none", "--n", "8",
       "--eps", "0.01", "--T", "50", "--seeds", "1"], "needs setting 'x-delta'"),
-    (["--env", "appK", "--learner", "mwmr", "--n", "4", "--eps", "0.05",
-      "--T", "50", "--seeds", "2"], "not realizable"),
+    (["--env", "appJ", "--learner", "mwmr", "--n", "8", "--eps", "0.01",
+      "--T", "50", "--seeds", "1"], "not realizable"),
+    (["--env", "appK", "--learner", "mwmr", "--n", "8", "--T", "2000",
+      "--eps", "0.1", "--seeds", "0,1,2"], "needs Ball manipulation sets"),
 ])
-def test_contract_and_realizability_errors_are_one_line(capsys, argv, message):
+def test_contract_and_realizability_errors_are_one_line(monkeypatch, capsys, argv,
+                                                        message):
+    # every seed raises, so a contract error shows only if it comes first
+    from stratgame import harness
+    from stratgame.protocol import RealizabilityError
+
+    def unrealizable(cfg, seed):
+        raise RealizabilityError(4, "version space emptied; stream is not realizable")
+
+    monkeypatch.setattr(harness, "run_single_seed", unrealizable)
     code = main(["run"] + argv)
     assert code == 2
     err = capsys.readouterr().err

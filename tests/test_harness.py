@@ -198,3 +198,24 @@ def test_output_loss_bound_rejected_on_online_run_before_any_seed(monkeypatch, s
     monkeypatch.setattr(harness, "run_single_seed", no_seed)
     with pytest.raises(ValueError, match=f"{spec['name']}.*online"):
         run_experiment(_small_cfg(bounds=[spec]))
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"env": "appK", "learner": "mwmr", "eps": 0.1}, "needs Ball manipulation sets"),
+    ({"env": "appK", "learner": "boost:random-union", "eps": 0.1, "delta": 0.1,
+      "base_rounds": 10}, "needs Ball manipulation sets"),
+    ({"learner": "halving", "setting": "x-delta-after"}, "needs setting 'x-delta'"),
+])
+def test_learner_contract_checked_before_any_seed(monkeypatch, overrides, message):
+    from stratgame import harness
+    from stratgame.protocol import ContractViolation
+
+    def no_seed(cfg, seed):
+        raise AssertionError("a seed ran before the contract check")
+
+    monkeypatch.setattr(harness, "run_single_seed", no_seed)
+    cfg = _small_cfg(seeds=[0, 1, 2])
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    with pytest.raises(ContractViolation, match=message):
+        run_experiment(cfg)

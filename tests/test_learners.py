@@ -378,3 +378,71 @@ def test_union_false_positive_with_full_cover_keeps_target():
     # farther than 1.5, so indices 1..3 (anchors at 2..4) all qualify
     lrn.observe(Feedback(-1, 1, matrix_point(0), matrix_point(1)))
     assert set(lrn.alive_indices) == {1, 2, 3}
+
+
+def test_learners_on_one_environment_share_one_distance_index():
+    env = make_environment("appJ", 6, eps=0.02, target=5)
+    shared = env.hclass.distance_index(env.space)
+    halving, mwmr = make_learner("halving"), make_learner("mwmr")
+    halving.reset(env.hclass, env.space, Setting.X_BEFORE, random.Random(0))
+    mwmr.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(1))
+    assert halving.index is shared and mwmr.index is shared
+    survivor = make_learner("survivor:mwmr", n=6, epsilon=0.1, delta=0.1)
+    survivor.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(2))
+    assert survivor.base.index is shared
+    # every outer round of boost builds a fresh base on the same index
+    bases = []
+
+    def base():
+        bases.append(RandomUnionLearner())
+        return bases[-1]
+
+    boost = BoostLearner(base, BoostConfig(epsilon=0.001, delta=0.1, base_rounds=2,
+                                           outer_rounds=3, validation_rounds=50))
+    run_online(env.source_for_run(0, 156), boost, Setting.XD_AFTER, 156, 0)
+    assert len(bases) == 4 and all(b.index is shared for b in bases[1:])
+    other = StarSpace(6)
+    mwmr.reset(env.hclass, other, Setting.XD_AFTER, random.Random(3))
+    assert mwmr.index is not shared and mwmr.index.space is other
+    assert env.hclass.distance_index(other) is mwmr.index
+
+
+def test_cached_distance_rows_are_read_only():
+    env = make_environment("random-realizable", 8, stream_space="star")
+    index = env.hclass.distance_index(env.space)
+    x = env.space.points[3]
+    row, order = index.row(x), index.order(x)
+    assert index.row(x) is row and index.order(x) is order
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        order[0] = 0
+    # the sphere is not enumerable: fresh rows, no cache
+    sphere = make_environment("appG", 5, eps=0.01)
+    sphere_index = sphere.hclass.distance_index(sphere.space)
+    p = ("perm", (1, 0, 2, 3, 4))
+    first = sphere_index.row(p)
+    assert first.flags.writeable and sphere_index.row(p) is not first
+    assert first.tolist() == sphere_index.row(p).tolist()
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(env="random-realizable", learner="halving", setting="x-delta", n=32, T=300,
+         stream_space="star"),
+    dict(env="appE", learner="mwmr", setting="x-delta-after", n=8, T=300),
+    dict(env="appJ", learner="boost:random-union", setting="x-delta-after", n=6, T=600,
+         eps=0.01, env_eps=0.02, delta=0.1, base_rounds=40, target=5),
+], ids=["halving-star", "mwmr-appE", "boost-appJ"])
+def test_seed_row_does_not_depend_on_a_warm_index(monkeypatch, cfg):
+    from stratgame import harness
+    from stratgame.harness import ExperimentConfig, run_single_seed
+
+    cfg = ExperimentConfig(seeds=[0, 1, 2, 3], **cfg)
+    monkeypatch.setattr(harness, "_env_cache", {})
+    cold = run_single_seed(cfg, 3)
+    monkeypatch.setattr(harness, "_env_cache", {})
+    for seed in (0, 1, 2):
+        run_single_seed(cfg, seed)
+    env = harness._environment(cfg)
+    assert env.hclass.distance_index(env.space)._cache_rows  # warmed by seeds 0-2
+    assert run_single_seed(cfg, 3) == cold

@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from stratgame.protocol import (
     ConstantLearner,
     ContractViolation,
     RealizabilityError,
+    RecoveryError,
     Setting,
     build_feedback,
     run_online,
@@ -88,6 +92,41 @@ def test_setting_compatibility_enforced():
         run_online(src, make_learner("halving"), Setting.XD_AFTER, 10, 0)
     with pytest.raises(ContractViolation):
         run_online(src, make_learner("mwmr"), Setting.DELTA_ONLY, 10, 0)
+
+
+@pytest.mark.parametrize("name", ["halving", "mwmr", "random-union",
+                                  "survivor:mwmr", "boost:random-union"])
+def test_distance_learners_rejected_on_explicit_sets_before_round_1(monkeypatch, name):
+    env = make_environment("appK", 6, eps=0.05, target=5)
+    src = env.source_for_run(0, 10)
+
+    def no_agent(rng):
+        raise AssertionError("an agent was drawn before the contract check")
+
+    monkeypatch.setattr(src, "sample", no_agent)
+    learner = make_learner(name, n=6, epsilon=0.1, delta=0.1)
+    with pytest.raises(ContractViolation, match=f"{name}.*needs Ball manipulation sets"):
+        run_online(src, learner, Setting.X_BEFORE, 10, 0)
+
+
+def test_sources_declare_their_manipulation_sets(star5):
+    from stratgame.core.response import Explicit, ManipulationSet
+    from stratgame.environments import SequenceSource
+
+    space, hclass = star5
+    hub = matrix_point(0)
+    ball = Agent(hub, Ball(1.0), 1)
+    listed = Agent(hub, Explicit(space.points), 1)
+    assert SequenceSource(space, hclass, 0, [ball, ball]).manipulation is Ball
+    assert SequenceSource(space, hclass, 0, [listed]).manipulation is Explicit
+    mixed = SequenceSource(space, hclass, 0, [ball, listed])
+    assert mixed.manipulation is ManipulationSet
+    with pytest.raises(ContractViolation, match="needs Ball manipulation sets"):
+        run_online(mixed, make_learner("mwmr"), Setting.XD_AFTER, 2, 0)
+    run_online(mixed, make_learner("seq-elim"), Setting.XD_AFTER, 2, 0)
+    for name in ("star-ex42", "appE", "appG", "appI", "appJ", "random-realizable"):
+        assert make_environment(name, 6, eps=0.02).manipulation is Ball
+    assert make_environment("appK", 6, eps=0.05).manipulation is Explicit
 
 
 def test_zero_rounds(star5):
@@ -213,6 +252,49 @@ def test_recovery_identity_holds_on_ball_runs(star5):
             assert space.dist(rec.context, rec.delta) <= min(dists) + 1e-9
         else:
             assert rec.delta == rec.context
+
+
+@pytest.mark.parametrize("agent,parts,wrong,message", [
+    # predicted negative, so the agent must stay at the hub
+    (Agent(matrix_point(0), Ball(0.0), -1), (2,), matrix_point(1), "predicted negative"),
+    # already positive at spoke 2, yet presented at spoke 1, farther away
+    (Agent(matrix_point(2), Ball(2.0), 1), (0, 1), matrix_point(1), "farther"),
+])
+def test_broken_best_response_raises_recovery_error(monkeypatch, star5, agent,
+                                                    parts, wrong, message):
+    from stratgame import protocol
+
+    space, hclass = star5
+    monkeypatch.setattr(protocol, "best_response", lambda *args: wrong)
+    learner = ConstantLearner(hclass.union(parts))
+    with pytest.raises(RecoveryError, match=f"round 7: .*{message}") as err:
+        run_round(agent, learner, Setting.XD_AFTER, space, t=7)
+    assert err.value.round_index == 7
+
+
+_BROKEN_RUN = """
+import sys
+from stratgame import protocol
+from stratgame.core.geometry import matrix_point
+from stratgame.environments import make_environment
+from stratgame.learners import make_learner
+
+print("optimize", sys.flags.optimize)
+protocol.best_response = lambda *args: matrix_point(0)  # always the hub
+env = make_environment("random-realizable", 5, stream_space="star")
+protocol.run_online(env.source_for_run(3, 40), make_learner("mwmr"),
+                    protocol.Setting.XD_AFTER, 40, 3)
+"""
+
+
+def test_recovery_check_survives_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_RUN],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(src), "PATH": ""})
+    assert proc.stdout.splitlines() == ["optimize 1"]
+    assert proc.returncode == 1
+    assert "stratgame.protocol.RecoveryError: round " in proc.stderr.splitlines()[-1]
 
 
 def test_learner_reads_hidden_field_raises(star5):
