@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core.response import ManipulationSet, strategic_loss
+from .core.response import strategic_loss
 from .environments import make_environment
 from .harness import ExperimentConfig, monte_carlo_loss, run_experiment
 from .learners import make_learner
@@ -213,7 +213,7 @@ def _survival_sweep(notes) -> bool:
     for learner_name in ("halving", "mwmr", "random-union", "seq-elim"):
         need = make_learner(learner_name).manipulation
         for env_kind, build in builders.items():
-            if need is ManipulationSet or build(4, 0, 0).manipulation is need:
+            if issubclass(build(4, 0, 0).manipulation, need):
                 combos.append((learner_name, env_kind))
     runs_per_combo = math.ceil(1000 / len(combos))
     total = 0

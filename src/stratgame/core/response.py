@@ -19,7 +19,17 @@ from .geometry import MetricSpace, Point, TOL
 from .predictors import Hypothesis, predict
 
 
-class Ball:
+class ManipulationSet:
+    """Base of the two kinds of manipulation set.
+
+    Learners and sources declare a kind as one of these classes; the base
+    itself stands for either kind, or a mix of both.
+    """
+
+    __slots__ = ()
+
+
+class Ball(ManipulationSet):
     """Metric ball of the given radius around the agent's own feature."""
 
     __slots__ = ("radius",)
@@ -36,7 +46,7 @@ class Ball:
         return isinstance(other, Ball) and self.radius == other.radius
 
 
-class Explicit:
+class Explicit(ManipulationSet):
     """An arbitrary finite manipulation set, listed point by point."""
 
     __slots__ = ("members",)
@@ -51,16 +61,11 @@ class Explicit:
         return isinstance(other, Explicit) and self.members == other.members
 
 
-ManipulationSet = Ball | Explicit
-
-
-def manipulation_type(agents: Iterable["Agent"]):
-    """``Ball`` or ``Explicit`` when every agent's set is of that kind (``Ball``
-    for no agents), ``ManipulationSet`` for a mix of both."""
-    kinds = {type(a.u) for a in agents}
-    if kinds <= {Ball}:
-        return Ball
-    return Explicit if kinds == {Explicit} else ManipulationSet
+def manipulation_type(agents: Iterable["Agent"]) -> type:
+    """The kind every agent's set has (``Ball`` for no agents), or
+    ``ManipulationSet`` for a mix."""
+    kinds = {type(a.u) for a in agents} or {Ball}
+    return kinds.pop() if len(kinds) == 1 else ManipulationSet
 
 
 class Agent:

@@ -374,10 +374,10 @@ def check_learner(learner: Learner, setting: Setting, source) -> None:
             f"or stronger, got {setting.value!r}")
     need = learner.manipulation
     have = getattr(source, "manipulation", ManipulationSet)
-    if need is not ManipulationSet and have is not need:
+    if not issubclass(have, need):
         raise ContractViolation(
-            f"learner {learner.name!r} needs {need.__name__} manipulation sets, "
-            f"but the agents have {getattr(have, '__name__', 'mixed')} ones")
+            f"learner {learner.name!r} needs {need.__name__} manipulation sets; "
+            f"the source declares {have.__name__}")
 
 
 def _agent_supply(source, learner, streams):
