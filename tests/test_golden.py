@@ -20,7 +20,10 @@ SEEDS = (0, 1, 2)
 ENVIRONMENTS = {
     "stream-star": ("random-realizable", {"n": 8, "stream_space": "star"}, 120),
     "stream-basis": ("random-realizable", {"n": 8, "stream_space": "scaled-basis"}, 120),
+    "stream-sphere": ("random-realizable",
+                      {"n": 6, "stream_space": "sphere-origin"}, 120),
     "appG": ("appG", {"n": 6, "eps": 0.05, "target": 5}, 300),
+    "appI": ("appI", {"n": 6, "eps": 0.05, "target": 5}, 300),
     "appJ": ("appJ", {"n": 6, "eps": 0.02, "target": 5}, 300),
     "appK": ("appK", {"n": 6, "eps": 0.05, "target": 5}, 300),
     "star-ex42": ("star-ex42", {"n": 6}, 40),
@@ -34,7 +37,10 @@ WRAPPERS = (("survivor:mwmr", "x-delta-after"), ("boost:random-union", "x-delta-
 CASES = (
     [("stream-star", l, s) for l, s in BALL_LEARNERS]
     + [("stream-basis", l, s) for l, s in BALL_LEARNERS]
+    + [("stream-sphere", l, s) for l, s in BALL_LEARNERS[:3]]
     + [("appG", l, s) for l, s in BALL_LEARNERS + WRAPPERS]
+    + [("appI", "random-union", "x-delta-after"),
+       ("appI", "boost:random-union", "x-delta-after")]
     + [("appJ", l, s) for l, s in BALL_LEARNERS + WRAPPERS]
     + [("appK", "seq-elim", "none"), ("appK", "seq-elim", "delta-only")]
     + [("star-ex42", "seq-elim", "none"), ("star-ex42", "seq-elim", "x-delta-after"),
@@ -99,6 +105,21 @@ GOLDEN = {
         1: (7, "b0b01e4b0c1145946f9c66b3d163da89b7cb32dc91859a9558136e9e8aa9b895"),
         2: (7, "326caebe1db1cff9e27c234e1f0430b444f675e327e110fa8f836e06d4e6f392"),
     },
+    ('stream-sphere', 'halving', 'x-delta'): {
+        0: (1, "c439598f7432740f4cc05c797589f21009f39045f81a009516d5b6700090e6d0"),
+        1: (1, "4bed99617a7fa6b35783577915904ac7f017ab68b992eded71f7dbae539c72df"),
+        2: (1, "e2dba4a6e4af4ed7b9a27a357882d8dd30cd6163ee6bb56d5d944c06385906b1"),
+    },
+    ('stream-sphere', 'mwmr', 'x-delta-after'): {
+        0: (1, "1615801cead117041f9abb9d6b6a7546d5bd56ce21ef2aca2931e32dc3e22e8e"),
+        1: (1, "dfb4a13b5086ae69a508594351b7ac19bd488b11244359bc2b1b5cd1aa8e2b6c"),
+        2: (2, "f3396935d2a1af5ab92438a645968ad34525b25e132a088d2dede320f57d590d"),
+    },
+    ('stream-sphere', 'random-union', 'x-delta-after'): {
+        0: (2, "87f8041fed956c8f8d180f95feabbcd1c8438c648c6c090d9e35e51bd4869b81"),
+        1: (1, "2dbfff0d217ba248254e4266a5a9d29a9390a6c1f61bfc31ffbc59a78e9373f8"),
+        2: (2, "c0c8be10e676d20de690a65ac2a5b4347b4533945c94dc6a555db5c8982e4669"),
+    },
     ('appG', 'halving', 'x-delta'): {
         0: (0, "15bbb14a080b480c49f2dd9a844dc6ad5929beccafb40ed5e11e18ed1865133e"),
         1: (0, "c95a47f2b3fd79a02c12d0bd2390b02ad924d271c0a47c0904b6714dc0c51c83"),
@@ -128,6 +149,16 @@ GOLDEN = {
         0: (2, "4dfdad5dca4d7ef711416ad92f24895cfad7e6b1795a4372a34578c6f5d96fc6"),
         1: (9, "b4afc35e800744de6c793587f9ca368fd8a5c415cff86eaa281331028d335cc5"),
         2: (3, "1b9d621b13e7594ba085045d78c61775352e59d3a10e9058d5ca8717b9a201df"),
+    },
+    ('appI', 'random-union', 'x-delta-after'): {
+        0: (2, "f01f651d275c4e43cc7df87666f9f741718a9fb071cef61cc6ab7a196c3c30eb"),
+        1: (3, "adef117d932ec3d547084734d8eee44b3f4db91e39d9320d5890a2836a62d847"),
+        2: (2, "5bec3e719d93710c143d58d56d8c39b62a44c4404f466b290ff77324143e3ffa"),
+    },
+    ('appI', 'boost:random-union', 'x-delta-after'): {
+        0: (16, "659dcbd23f62506a75a61027e2f35234ef56b1487843876c7f7a41c6babd6522"),
+        1: (15, "445753e9781e87fbb2824975b22600cb9de07c37f969b8d78b3d313b192ee1c5"),
+        2: (2, "245442dbc1227b82fbb5b1268fc31b50d7a6b5e5facdbad538a6d7c30205a489"),
     },
     ('appJ', 'halving', 'x-delta'): {
         0: (0, "9b196cbb2ba937c16829da74958519996df0d22976a78479a87a883940fd660b"),
