@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from stratgame.core.geometry import (
     ORIGIN,
+    TOL,
+    MatrixSpace,
     PermutationSphereSpace,
     ScaledBasisSpace,
     StarSpace,
@@ -79,6 +82,50 @@ def test_best_response_ball_minimality_bruteforce():
             dmin = min(space.dist(x, p) for p in reachable)
             assert predict(f, delta) == 1
             assert space.dist(x, delta) <= dmin + 1e-9
+
+
+def _window_space(dists):
+    """Matrix space whose point 0 lies at the given distances from points 1..k."""
+    pts = [matrix_point(k) for k in range(len(dists) + 1)]
+    m = np.zeros((len(pts), len(pts)))
+    m[0, 1:] = m[1:, 0] = dists
+    return MatrixSpace(pts, m), singleton_class(pts[1:])
+
+
+def test_tolerance_window_of_reach_and_ties():
+    r, dmin = 1.0, 0.5
+    # point 1 sits at dmin + TOL, point 2 at dmin, point 3 at dmin + 2 TOL,
+    # point 4 at exactly r + TOL and point 5 at r + 2 TOL
+    space, hclass = _window_space([dmin + TOL, dmin, dmin + 2 * TOL,
+                                   r + TOL, r + 2 * TOL])
+    x = matrix_point(0)
+    neg = Agent(x, Ball(r), -1)
+
+    # reach: d == r + TOL is inside the ball, r + 2 TOL is not
+    assert best_response(space, neg, hclass.union((3,))) == matrix_point(4)
+    assert strategic_loss(space, hclass.union((3,)), neg) == 1
+    assert best_response(space, neg, hclass.union((4,))) == x
+    assert strategic_loss(space, hclass.union((4,)), neg) == 0
+    assert strategic_loss(space, hclass.union((4,)), Agent(x, Ball(r), 1)) == 1
+
+    # ties: points 1 and 2 are within TOL of the minimum, point 3 is not;
+    # FIXED_LOWEST returns the lowest identity among the survivors
+    f = hclass.union((0, 1, 2, 3))
+    assert best_response(space, neg, f, TieBreak.FIXED_LOWEST) == matrix_point(1)
+    assert best_response(space, neg, hclass.union((1, 2)),
+                         TieBreak.FIXED_LOWEST) == matrix_point(2)
+
+    # UNIFORM_RANDOM draws once over the sorted survivors when two or more
+    # survive, and not at all when one does
+    for seed in range(20):
+        rng, twin = random.Random(seed), random.Random(seed)
+        got = best_response(space, neg, f, TieBreak.UNIFORM_RANDOM, rng)
+        assert got == [matrix_point(1), matrix_point(2)][twin.randrange(2)]
+        assert rng.getstate() == twin.getstate()
+    for parts in ((1, 2, 3), (3,), (4,)):
+        rng, twin = random.Random(7), random.Random(7)
+        best_response(space, neg, hclass.union(parts), TieBreak.UNIFORM_RANDOM, rng)
+        assert rng.getstate() == twin.getstate()
 
 
 def test_best_response_explicit_fixed_order():
