@@ -253,6 +253,7 @@ class PermutationSphereSpace(MetricSpace):
         self.with_origin = with_origin
         self.coord_sq_sum = sum(k * k for k in range(n))  # sum of 0^2..(n-1)^2
         self.z = math.sqrt(self.coord_sq_sum) / alpha
+        self.one_plus_alpha2 = 1.0 + alpha ** 2  # d(p, e_i)^2 = this - 2 p_i / z
         self._value_set = frozenset(range(n))
 
     def contains(self, p: Point) -> bool:
@@ -277,9 +278,13 @@ class PermutationSphereSpace(MetricSpace):
         return v
 
     def dist(self, a: Point, b: Point) -> float:
+        ta, tb = a[0], b[0]
+        # the sphere-to-basis pair, first because the response layer asks
+        # for little else
+        if ta == "perm" and tb == "basis":
+            return math.sqrt(self.one_plus_alpha2 - 2.0 * a[1][b[1]] / self.z)
         if a == b:
             return 0.0
-        ta, tb = a[0], b[0]
         if ta > tb:
             a, b, ta, tb = b, a, tb, ta
         # tag pairs in sorted order: basis<origin<perm
@@ -288,7 +293,7 @@ class PermutationSphereSpace(MetricSpace):
         if ta == "basis" and tb == "origin":
             return 1.0
         if ta == "basis" and tb == "perm":
-            return math.sqrt(1.0 + self.alpha ** 2 - 2.0 * b[1][a[1]] / self.z)
+            return math.sqrt(self.one_plus_alpha2 - 2.0 * b[1][a[1]] / self.z)
         if ta == "origin" and tb == "perm":
             return self.alpha
         # perm-perm
@@ -301,7 +306,7 @@ class PermutationSphereSpace(MetricSpace):
             vals = np.fromiter(
                 (x[1][t[1]] for t in targets), dtype=float, count=len(targets)
             )
-            return np.sqrt(1.0 + self.alpha ** 2 - 2.0 * vals / self.z)
+            return np.sqrt(self.one_plus_alpha2 - 2.0 * vals / self.z)
         return super().dist_row(x, targets)
 
     def sample_sphere_point(self, rng: random.Random) -> Point:

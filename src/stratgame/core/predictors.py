@@ -53,12 +53,19 @@ ALL_NEGATIVE = Hypothesis(())
 
 
 class HypothesisClass:
-    """An ordered tuple of distinct hypotheses; learners refer to members by index."""
+    """An ordered tuple of distinct hypotheses; learners refer to members by index.
+
+    ``points`` lists each member's one positive point when every member is a
+    singleton, and is None otherwise.
+    """
 
     def __init__(self, members: Sequence[Hypothesis]):
         self.members = tuple(Hypothesis(h.positive, (i,)) for i, h in enumerate(members))
         if len({h.positive for h in self.members}) != len(self.members):
             raise ValueError("hypothesis class members must have distinct positive sets")
+        self.points = None
+        if all(len(h.positive) == 1 for h in self.members):
+            self.points = tuple(next(iter(h.positive)) for h in self.members)
         self._indexes: dict = {}
 
     def distance_index(self, space: MetricSpace) -> "ClassDistanceIndex":
@@ -81,6 +88,9 @@ class HypothesisClass:
             return self.members[parts[0]]
         if not parts:
             raise ValueError("a union predictor needs at least one part")
+        pts = self.points
+        if pts is not None:
+            return Hypothesis([pts[i] for i in parts], parts)
         members = self.members
         return Hypothesis(frozenset().union(*(members[i].positive for i in parts)), parts)
 
@@ -124,16 +134,13 @@ class ClassDistanceIndex:
     def __init__(self, space: MetricSpace, hclass: HypothesisClass):
         self.space = space
         self.hclass = hclass
-        self._single_targets = None
-        if all(len(h.positive) == 1 for h in hclass.members):
-            self._single_targets = [next(iter(h.positive)) for h in hclass.members]
         self._cache_rows: dict = {}
         self._cache_orders: dict = {}
         self._cache = space.enumerable
 
     def _compute_row(self, x: Point) -> np.ndarray:
-        if self._single_targets is not None:
-            return self.space.dist_row(x, self._single_targets)
+        if self.hclass.points is not None:
+            return self.space.dist_row(x, self.hclass.points)
         return np.array(
             [distance_to_hypothesis(self.space, x, h) for h in self.hclass.members]
         )

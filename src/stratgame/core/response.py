@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .geometry import MetricSpace, Point, TOL
-from .predictors import Hypothesis, predict
+from .predictors import Hypothesis
 
 
 class ManipulationSet:
@@ -89,26 +89,6 @@ class TieBreak(Enum):
     UNIFORM_RANDOM = "uniform-random"
 
 
-def _reachable_positives(space: MetricSpace, agent: Agent, f: Hypothesis):
-    """Points of u intersected with the positive region, with distances for balls.
-
-    Returns (candidates, dists) where dists is None for explicit sets.
-    """
-    pos = f.positive
-    if isinstance(agent.u, Ball):
-        r = agent.u.radius
-        cand, dists = [], []
-        dist = space.dist
-        for p in pos:
-            d = dist(agent.x, p)
-            if d <= r + TOL:
-                cand.append(p)
-                dists.append(d)
-        return cand, dists
-    members = agent.u.members
-    return [p for p in pos if p in members], None
-
-
 def best_response(space: MetricSpace, agent: Agent, f: Hypothesis,
                   tie: TieBreak = TieBreak.FIXED_LOWEST,
                   rng: random.Random | None = None) -> Point:
@@ -118,16 +98,38 @@ def best_response(space: MetricSpace, agent: Agent, f: Hypothesis,
     positive region stay at x.  Ball agents move to the closest reachable
     positive point (ties by point order or uniformly at random); explicit
     agents pick any reachable positive point by the same policy, with no
-    distance preference.
+    distance preference.  A point at distance d is reachable when
+    d <= r + TOL, and it ties with the closest one when d <= dmin + TOL.
     """
-    if predict(f, agent.x) == 1:
-        return agent.x
-    cand, dists = _reachable_positives(space, agent, f)
-    if not cand:
-        return agent.x
-    if dists is not None:
-        dmin = min(dists)
-        cand = [p for p, d in zip(cand, dists) if d <= dmin + TOL]
+    x = agent.x
+    pos = f.positive
+    if x in pos:
+        return x
+    u = agent.u
+    if isinstance(u, Ball):
+        reach = u.radius + TOL
+        dist = space.dist
+        if len(pos) == 1:
+            (p,) = pos
+            return p if dist(x, p) <= reach else x
+        near = []
+        dmin = math.inf
+        for p in pos:
+            d = dist(x, p)
+            if d <= reach:
+                near.append((p, d))
+                if d < dmin:
+                    dmin = d
+        if not near:
+            return x
+        if len(near) == 1:
+            return near[0][0]
+        cutoff = dmin + TOL
+        cand = [p for p, d in near if d <= cutoff]
+    else:
+        cand = list(u.members.intersection(pos))
+        if not cand:
+            return x
     if len(cand) == 1:
         return cand[0]
     if tie is TieBreak.FIXED_LOWEST:
@@ -146,16 +148,24 @@ def strategic_loss(space: MetricSpace, f: Hypothesis, agent: Agent) -> int:
     negative and unable to reach.  The value is tie-break invariant because
     it depends on u meeting the positive region, not on the point chosen.
     """
-    fx = predict(f, agent.x)
+    x = agent.x
+    pos = f.positive
+    if x in pos:
+        return 1 if agent.y == -1 else 0
+    u = agent.u
+    if isinstance(u, Ball):
+        reach = u.radius + TOL
+        dist = space.dist
+        meets = False
+        for p in pos:
+            if dist(x, p) <= reach:
+                meets = True
+                break
+    else:
+        meets = not u.members.isdisjoint(pos)
     if agent.y == -1:
-        if fx == 1:
-            return 1
-        cand, _ = _reachable_positives(space, agent, f)
-        return 1 if cand else 0
-    if fx == 1:
-        return 0
-    cand, _ = _reachable_positives(space, agent, f)
-    return 0 if cand else 1
+        return 1 if meets else 0
+    return 0 if meets else 1
 
 
 def strategic_loss_randomized(space: MetricSpace,

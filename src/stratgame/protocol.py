@@ -17,6 +17,7 @@ The true label and the prediction are delivered in every setting.
 from __future__ import annotations
 
 import json
+import math
 import random
 from enum import Enum
 
@@ -329,7 +330,11 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
     x = agent.x
     if y_hat == 1:
         dist = space.dist
-        dmin = min(dist(x, p) for p in f.positive)
+        dmin = math.inf
+        for p in f.positive:
+            d = dist(x, p)
+            if d < dmin:
+                dmin = d
         if dist(x, delta) > dmin + TOL:
             raise RecoveryError(t, f"manipulated feature {delta!r} is farther from "
                                    f"{x!r} than the closest positive point")
