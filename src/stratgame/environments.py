@@ -14,6 +14,7 @@ import random
 from typing import Sequence
 
 from .core.geometry import (
+    TOL,
     MetricSpace,
     ORIGIN,
     PermutationSphereSpace,
@@ -35,6 +36,20 @@ _validated: set = set()
 
 class ParameterError(ValueError):
     """A family was asked for parameters outside its valid range."""
+
+
+def _check_reach_separation(space: PermutationSphereSpace) -> None:
+    """Reject spheres whose reach levels sqrt(1 + alpha^2 - 2v/z) crowd TOL.
+
+    Adjacent levels are closest at v = 0 and v = 1; below 100 TOL apart, the
+    absolute tolerance of every distance comparison could merge them.
+    """
+    top = space.one_plus_alpha2
+    gap = math.sqrt(top) - math.sqrt(top - 2.0 / space.z)
+    if gap < 100 * TOL:
+        raise ParameterError(
+            f"n={space.n}, alpha={space.alpha}: adjacent reach radii differ by "
+            f"{gap:.3g}, less than 100*TOL={100 * TOL:.3g}")
 
 
 def _spot_check(family, key) -> None:
@@ -132,6 +147,7 @@ class SphereRadiusFamily:
         self.eps = eps
         self.target = target
         self.space = PermutationSphereSpace(n, alpha=alpha, with_origin=True)
+        _check_reach_separation(self.space)
         self.hclass = singleton_class([basis(i) for i in range(n)])
         self.sphere_mass = 3 * n * eps
         z, a2 = self.space.z, alpha * alpha
@@ -186,6 +202,7 @@ class SphereRankFamily:
         self.eps = eps
         self.target = target
         self.space = PermutationSphereSpace(n, alpha=alpha, with_origin=False)
+        _check_reach_separation(self.space)
         self.hclass = singleton_class([basis(i) for i in range(n)])
         self.neg_mass = 6 * eps
         self._pos_ball = Ball(2.0)
@@ -409,10 +426,10 @@ class _ProbingState:
     def __init__(self, env: ProbingAdversary):
         self.env = env
         self._cached_version = None
-        self._decision = None
+        self._agent = None
         self._probe_points = [ORIGIN] + [scaled_basis(j) for j in range(env.n)]
 
-    def _decide(self, view: LearnerView):
+    def _decide(self, view: LearnerView) -> Agent:
         env = self.env
         dist = view.distribution(env.samples)
         p_allneg = 0.0
@@ -434,26 +451,18 @@ class _ProbingState:
                         weight[pt[1]] += p
         for pt in self._probe_points:
             if p_probe[pt] >= env.c - 1e-12:
-                return ("probe", pt)
+                return Agent(pt, Ball(0.0), -1)
         if p_allneg >= env.c - 1e-12:
-            return ("allneg",)
+            return Agent(ORIGIN, Ball(1.0), 1)
         i_t = max(range(env.n), key=lambda i: (weight[i], -i))
-        return ("plant", i_t)
+        return Agent(scaled_basis(i_t), Ball(0.0 if i_t == env.target else 0.1), -1)
 
     def next_agent(self, view: LearnerView) -> Agent:
         version = view.version()
-        if version is None or version != self._cached_version or self._decision is None:
-            self._decision = self._decide(view)
+        if version is None or version != self._cached_version or self._agent is None:
+            self._agent = self._decide(view)
             self._cached_version = version
-        d = self._decision
-        if d[0] == "probe":
-            return Agent(d[1], Ball(0.0), -1)
-        if d[0] == "allneg":
-            return Agent(ORIGIN, Ball(1.0), 1)
-        i_t = d[1]
-        if i_t == self.env.target:
-            return Agent(scaled_basis(i_t), Ball(0.0), -1)
-        return Agent(scaled_basis(i_t), Ball(0.1), -1)
+        return self._agent
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,9 @@ def _threads() -> int:
         return 1
 
 
+# The most recently used environment only: every seed of an experiment
+# shares it (with its distance index), and a sweep that moves on to other
+# parameters releases it.
 _env_cache: dict = {}
 
 
@@ -79,6 +82,7 @@ def _environment(cfg: ExperimentConfig):
            cfg.estimation_samples, cfg.stream_space, cfg.radius_law)
     env = _env_cache.get(key)
     if env is None:
+        _env_cache.clear()
         env = make_environment(
             cfg.env, cfg.n, eps=cfg.family_eps(), target=cfg.target,
             alpha=cfg.alpha, c=cfg.c, samples=cfg.estimation_samples,

@@ -133,6 +133,16 @@ def test_probing_case3_lowest_index_argmax():
     assert agent.u == Ball(0.1) and agent.y == -1
 
 
+def test_probing_agent_is_reused_while_the_learner_state_holds():
+    env = make_environment("appE", 4)
+    learner = make_learner("mwmr")
+    learner.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(0))
+    adv = env.shared.fresh()
+    view = LearnerView(learner, random.Random(0))
+    first = adv.next_agent(view)
+    assert adv.next_agent(view) is first
+
+
 def test_probing_case3_on_target_is_immovable():
     agent = _probe_agent_for(
         Hypothesis([basis(3)]), n=4, target=3)
@@ -181,6 +191,29 @@ def test_family_parameter_validation():
         PrefixSetFamily(4, 0.2)      # 6 eps > 1
     with pytest.raises(ParameterError):
         StarSpokeFamily(4, 0.01, target=7)
+
+
+def _last_separated_n(alpha, tol=1e-9):
+    """Largest n whose reach levels at v = 0 and v = 1 stay 100 tol apart."""
+    def gap(n):
+        z = math.sqrt((n - 1) * n * (2 * n - 1) // 6) / alpha
+        return math.sqrt(1.0 + alpha ** 2) - math.sqrt(1.0 + alpha ** 2 - 2.0 / z)
+    lo, hi = 2, 10 ** 7  # gap(lo) is wide, gap(hi) is below the floor
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if gap(mid) >= 100 * tol else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("family,eps", [(SphereRadiusFamily, 1e-6),
+                                        (SphereRankFamily, 0.01)])
+def test_sphere_families_reject_reach_radii_closer_than_100_tol(family, eps):
+    n = _last_separated_n(0.1)
+    assert n == 14375
+    fam = family(n, eps, alpha=0.1, validate=False)
+    assert fam.space.n == n
+    with pytest.raises(ParameterError, match="reach radii"):
+        family(n + 1, eps, alpha=0.1, validate=False)
 
 
 def test_radius_family_sampling_statistics():

@@ -53,6 +53,21 @@ def test_monte_carlo_needs_samples():
         monte_carlo_loss(env.space, env.hclass.union((0,)), env.family, 0, 0)
 
 
+def test_environment_cache_releases_the_previous_environment():
+    import gc
+    import weakref
+
+    from stratgame import harness
+
+    cfg_a = ExperimentConfig(env="appJ", learner="mwmr", n=5, T=20, eps=0.02)
+    cfg_b = ExperimentConfig(env="appJ", learner="mwmr", n=6, T=20, eps=0.02)
+    harness.run_single_seed(cfg_a, 0)
+    env_a = weakref.ref(harness._environment(cfg_a))
+    harness.run_single_seed(cfg_b, 0)
+    gc.collect()
+    assert env_a() is None
+
+
 def _small_cfg(**over):
     base = dict(env="random-realizable", learner="halving", setting="x-delta",
                 n=32, T=300, seeds=[0, 1, 2, 3], stream_space="star",
