@@ -122,8 +122,6 @@ def best_response(space: MetricSpace, agent: Agent, f: Hypothesis,
                     dmin = d
         if not near:
             return x
-        if len(near) == 1:
-            return near[0][0]
         cutoff = dmin + TOL
         cand = [p for p, d in near if d <= cutoff]
     else:
