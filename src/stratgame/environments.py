@@ -459,7 +459,7 @@ class _ProbingState:
 
     def next_agent(self, view: LearnerView) -> Agent:
         version = view.version()
-        if version is None or version != self._cached_version or self._agent is None:
+        if version is None or version != self._cached_version:
             self._agent = self._decide(view)
             self._cached_version = version
         return self._agent
