@@ -5,13 +5,13 @@ Sweeps T on the radius-coded sphere family and prints the mean exact output
 loss per horizon, next to the T >= 320 log2(n) ln(n) / eps budget.
 """
 
-import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from stratgame.harness import ExperimentConfig, run_experiment
+from stratgame.learners import default_union_rounds
 
 N = 8
 EPS = 0.04
@@ -19,7 +19,7 @@ SEEDS = 40
 
 
 def main():
-    budget = math.ceil(320 * math.log2(N) * math.log(N) / EPS)
+    budget = default_union_rounds(N, EPS)
     horizons = [budget // 64, budget // 16, budget // 4, budget]
     print(f"round budget for eps={EPS}: {budget}")
     print(f"{'T':>8} {'mean loss':>12} {'max loss':>10}")

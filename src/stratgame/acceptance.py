@@ -16,7 +16,7 @@ from fractions import Fraction
 from .core.response import strategic_loss
 from .environments import make_environment
 from .harness import ExperimentConfig, monte_carlo_loss, run_experiment
-from .learners import make_learner
+from .learners import default_union_rounds, make_learner
 from .oracle import exact_loss
 from .protocol import Setting, run_online
 
@@ -106,7 +106,7 @@ def criterion_4_randomized_floor() -> CriterionResult:
 def criterion_5_union_learner_loss() -> CriterionResult:
     """The random-union learner reaches expected loss eps within its round budget."""
     n, eps = 16, 0.02
-    T = math.ceil(320 * math.log2(n) * math.log(n) / eps)
+    T = default_union_rounds(n, eps)
     cfg = ExperimentConfig(
         env="appG", learner="random-union", setting="x-delta-after",
         n=n, T=T, seeds=list(range(50)), eps=eps, env_eps=eps, target=n - 1,

@@ -365,8 +365,6 @@ class StarCounterAdversary:
 
 class _StarCounterState:
     def __init__(self, env: StarCounterAdversary):
-        self.env = env
-        self.space = env.space
         self.consistent = set(range(1, env.n + 1))  # spoke ids still realizable
         self._hub = matrix_point(0)
 

@@ -17,31 +17,24 @@ import numpy as np
 
 from .core.geometry import TOL
 from .core.response import Ball
-from .protocol import ContractViolation, Feedback, Learner, RealizabilityError, Setting
-
-
-def _remove_by_distance(row: np.ndarray, alive: np.ndarray, d_f: float, y: int
-                        ) -> np.ndarray:
-    """Survivors of a mistake round: y=+1 drops the far side, y=-1 the near side."""
-    if y == 1:
-        keep = row[alive] < d_f - TOL
-    else:
-        keep = row[alive] > d_f + TOL
-    return alive[keep]
+from .protocol import ContractViolation, Learner, RealizabilityError, Setting
 
 
 class _VersionSpaceLearner(Learner):
-    """Shared machinery: alive-index bookkeeping and distance-based removal."""
+    """Shared machinery: the version space and the one distance cut.
+
+    ``alive`` is the sorted list of class indices still consistent.  On a
+    mistake, d(x, f) is the distance to f's nearest part, and x is the
+    revealed context, else the feedback's original feature.
+    """
 
     manipulation = Ball
 
     def reset(self, hclass, space, setting, rng):
         self.hclass = hclass
-        self.space = space
-        self.setting = setting
         self.rng = rng
         self.index = hclass.distance_index(space)
-        self.alive = np.arange(len(hclass))
+        self.alive = list(range(len(hclass)))
         self.rounds_seen = 0
         self._version = 0
         self._ctx = None
@@ -49,27 +42,34 @@ class _VersionSpaceLearner(Learner):
 
     @property
     def alive_indices(self) -> tuple:
-        return tuple(int(i) for i in self.alive)
+        return tuple(self.alive)
 
     def state_version(self):
         return self._version
 
-    def _mistake_x(self, feedback: Feedback):
-        return self._ctx if self._ctx is not None else feedback.x
-
-    def _apply_removal(self, x, d_f, y):
-        survivors = _remove_by_distance(self.index.row(x), self.alive, d_f, y)
-        if survivors.size == 0:
+    def observe(self, feedback):
+        self.rounds_seen += 1
+        if not feedback.mistake:
+            return
+        row = self.index.row(self._ctx if self._ctx is not None else feedback.x)
+        d_f = min(row[i] for i in self._last_choice.parts)
+        keep = (row < d_f - TOL if feedback.y == 1 else row > d_f + TOL).tolist()
+        survivors = [i for i in self.alive if keep[i]]
+        if not survivors:
             raise RealizabilityError(
                 self.rounds_seen, "version space emptied; stream is not realizable")
-        if survivors.size != self.alive.size:
+        if len(survivors) != len(self.alive):
             self.alive = survivors
             self._version += 1
+            self._shrunk()
+
+    def _shrunk(self):
+        """Update derived state after the version space shrank."""
 
     def finalize(self):
         if self._last_choice is not None:
             return self._last_choice
-        return self.hclass.union((int(self.alive[0]),))
+        return self.hclass.union((self.alive[0],))
 
 
 class MedianHalvingLearner(_VersionSpaceLearner):
@@ -98,21 +98,12 @@ class MedianHalvingLearner(_VersionSpaceLearner):
         ranked = order[self._mask[order]]
         m = ranked.size
         chosen = int(ranked[(m + 1) // 2 - 1])  # 1-indexed rank ceil(m/2)
-        self._chosen_idx = chosen
         self._last_choice = self.hclass.union((chosen,))
         return self._last_choice
 
-    def observe(self, feedback):
-        self.rounds_seen += 1
-        if not feedback.mistake:
-            return
-        x = self._ctx
-        d_f = float(self.index.row(x)[self._chosen_idx])
-        before = self.alive
-        self._apply_removal(x, d_f, feedback.y)
-        if self.alive.size != before.size:
-            self._mask[:] = False
-            self._mask[self.alive] = True
+    def _shrunk(self):
+        self._mask[:] = False
+        self._mask[self.alive] = True
 
 
 class RandomVersionSpaceLearner(_VersionSpaceLearner):
@@ -124,25 +115,16 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
 
     def choose(self, context):
         self._ctx = context
-        chosen = int(self.alive[self.rng.randrange(self.alive.size)])
-        self._chosen_idx = chosen
+        chosen = self.alive[self.rng.randrange(len(self.alive))]
         self._last_choice = self.hclass.union((chosen,))
         return self._last_choice
 
-    def observe(self, feedback):
-        self.rounds_seen += 1
-        if not feedback.mistake:
-            return
-        x = self._mistake_x(feedback)
-        d_f = float(self.index.row(x)[self._chosen_idx])
-        self._apply_removal(x, d_f, feedback.y)
-
     def predictor_distribution(self):
-        p = 1.0 / self.alive.size
-        return [(self.hclass.union((int(i),)), p) for i in self.alive]
+        p = 1.0 / len(self.alive)
+        return [(self.hclass.union((i,)), p) for i in self.alive]
 
     def sample_predictor(self, rng):
-        return self.hclass.union((int(self.alive[rng.randrange(self.alive.size)]),))
+        return self.hclass.union((self.alive[rng.randrange(len(self.alive))],))
 
 
 class RandomUnionLearner(_VersionSpaceLearner):
@@ -150,10 +132,10 @@ class RandomUnionLearner(_VersionSpaceLearner):
 
     Each round draws a size k uniformly from {1, 2, 4, ..., 2^(floor(log2 n)-1)}
     (k = 1 when a single hypothesis remains), then k members i.i.d. with
-    replacement, and predicts their union.  Mistake rounds eliminate exactly
-    as the single-hypothesis rule does, with d(x, f) the minimum over parts.
-    The final output unions two hypotheses sampled from the version space of
-    a uniformly random past round.
+    replacement, and predicts their union.  Mistake rounds eliminate by the
+    shared distance cut, with d(x, f) the minimum over parts.  The final
+    output unions two hypotheses sampled from the version space of a
+    uniformly random past round.
     """
 
     name = "random-union"
@@ -162,8 +144,7 @@ class RandomUnionLearner(_VersionSpaceLearner):
 
     def reset(self, hclass, space, setting, rng):
         super().reset(hclass, space, setting, rng)
-        self._alive_list = list(range(len(hclass)))
-        self._segments = [(1, tuple(self._alive_list))]  # version space entering round t
+        self._segments = [(1, tuple(self.alive))]  # version space entering round t
 
     @staticmethod
     def _draw_k(n_t: int, rng: random.Random) -> int:
@@ -174,23 +155,13 @@ class RandomUnionLearner(_VersionSpaceLearner):
     def choose(self, context):
         self._ctx = context
         rng = self.rng
-        k = self._draw_k(len(self._alive_list), rng)
-        parts = tuple(rng.choices(self._alive_list, k=k))
+        k = self._draw_k(len(self.alive), rng)
+        parts = tuple(rng.choices(self.alive, k=k))
         self._last_choice = self.hclass.union(parts)
         return self._last_choice
 
-    def observe(self, feedback):
-        self.rounds_seen += 1
-        if not feedback.mistake:
-            return
-        x = self._mistake_x(feedback)
-        row = self.index.row(x)
-        d_f = min(float(row[i]) for i in set(self._last_choice.parts))
-        before = self.alive.size
-        self._apply_removal(x, d_f, feedback.y)
-        if self.alive.size != before:
-            self._alive_list = [int(i) for i in self.alive]
-            self._segments.append((self.rounds_seen + 1, tuple(self._alive_list)))
+    def _shrunk(self):
+        self._segments.append((self.rounds_seen + 1, tuple(self.alive)))
 
     def version_space_before(self, t: int) -> tuple:
         members = self._segments[0][1]
@@ -210,8 +181,8 @@ class RandomUnionLearner(_VersionSpaceLearner):
         return self.hclass.union((h1, h2))
 
     def sample_predictor(self, rng):
-        k = self._draw_k(len(self._alive_list), rng)
-        return self.hclass.union(tuple(rng.choices(self._alive_list, k=k)))
+        k = self._draw_k(len(self.alive), rng)
+        return self.hclass.union(tuple(rng.choices(self.alive, k=k)))
 
 
 class SequentialElimination(Learner):

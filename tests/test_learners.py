@@ -70,15 +70,33 @@ def test_halving_median_odd_distances():
     assert lrn.choose(matrix_point(0)).parts == (1,)  # the distance-1.0 member
 
 
-def test_halving_update_counts_by_direction():
-    # distances 1..8 from x; median rank 4
+@pytest.mark.parametrize("name", ["halving", "mwmr", "random-union"])
+def test_halving_update_counts_by_direction(name):
+    # distances 1..8 from x; halving's median rank 4, pinned on the others,
+    # which read x from the feedback
     space, hclass = line_space(8)
+    x = matrix_point(0)
     for y, survivors in ((-1, {4, 5, 6, 7}), (1, {0, 1, 2})):
-        lrn = _reset(make_learner("halving"), hclass, space, Setting.X_BEFORE)
-        f = lrn.choose(matrix_point(0))
-        assert f.parts == (3,)  # distance 4.0
-        lrn.observe(Feedback(y, -y, None, matrix_point(0)))
+        lrn = _reset(make_learner(name), hclass, space, Setting.X_BEFORE)
+        if name == "halving":
+            assert lrn.choose(x).parts == (3,)  # distance 4.0
+        else:
+            lrn.choose(None)
+            lrn._last_choice = hclass.union((3,))
+        lrn.observe(Feedback(y, -y, x, x))
         assert set(lrn.alive_indices) == survivors
+
+
+@pytest.mark.parametrize("name", ["halving", "mwmr", "random-union"])
+def test_emptied_version_space_is_realizability_error(name):
+    # a missed positive at the nearest member leaves nothing strictly closer
+    space, hclass = line_space(4)
+    x = matrix_point(0)
+    lrn = _reset(make_learner(name), hclass, space, Setting.X_BEFORE)
+    lrn.choose(x if name == "halving" else None)
+    lrn._last_choice = hclass.union((0,))
+    with pytest.raises(RealizabilityError, match="version space emptied"):
+        lrn.observe(Feedback(1, -1, x, x))
 
 
 def test_halving_no_mistake_keeps_version_space():

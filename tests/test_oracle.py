@@ -1,11 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from stratgame.core.geometry import ORIGIN, basis, matrix_point
+from stratgame.core.predictors import Hypothesis
 from stratgame.core.response import population_loss
 from stratgame.environments import make_environment
 from stratgame.oracle import (
@@ -99,6 +103,40 @@ def test_exact_matches_float_population_loss():
             assert population_loss(fam.space, f, fam) == pytest.approx(exact, abs=1e-9)
 
 
+@lru_cache(maxsize=None)
+def _family(tag, n, eps, target):
+    return make_environment(tag, n, eps=eps, target=target).family
+
+
+@st.composite
+def family_regions(draw):
+    """A family at n <= 6 and a region of its anchor, singletons and sphere points."""
+    tag = draw(st.sampled_from(["appG", "appI", "appJ", "appK"]))
+    n = draw(st.integers(2, 6))
+    eps = draw(st.sampled_from([0.01, 0.05]))
+    target = draw(st.integers(0, n - 1))
+    on_sphere = tag in ("appG", "appI")
+    points = []
+    if tag != "appI" and draw(st.booleans()):  # appI has no anchor point
+        points.append(ORIGIN if on_sphere else matrix_point(0))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        points.append(basis(i) if on_sphere else matrix_point(i + 1))
+    if on_sphere:
+        points += [("perm", tuple(p))
+                   for p in draw(st.lists(st.permutations(range(n)), max_size=3))]
+    return tag, n, eps, target, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_regions())
+def test_population_loss_matches_oracle_on_random_regions(case):
+    tag, n, eps, target, points = case
+    fam = _family(tag, n, eps, target)
+    exact = float(exact_loss(tag, n, Fraction(eps), target, points))
+    got = population_loss(fam.space, Hypothesis(points), fam)
+    assert got == pytest.approx(exact, abs=1e-9)
+
+
 def test_exact_oracle_rejects_large_supports():
     with pytest.raises(SupportTooLarge, match="support too large"):
         exact_loss("appK", 8, EPS, 0, [matrix_point(1)])
@@ -130,9 +168,6 @@ def test_rank_family_wrong_singleton_flag():
 
 
 def test_all_negative_population_loss_matches_oracle():
-    from stratgame.core.predictors import Hypothesis
-    from stratgame.core.response import population_loss
-
     env = make_environment("appK", 5, eps=0.05, target=2)
     fam = env.family
     got = population_loss(fam.space, Hypothesis(()), fam)
