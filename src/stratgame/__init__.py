@@ -22,7 +22,6 @@ from .core import (
     population_loss,
     predict,
     scaled_basis,
-    singleton_class,
     strategic_loss,
     strategic_loss_randomized,
     validate_metric,

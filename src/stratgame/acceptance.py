@@ -270,12 +270,12 @@ def _distance_to_union_identity(notes) -> bool:
     import random as _random
 
     from .core.geometry import ScaledBasisSpace, StarSpace, basis, matrix_point
-    from .core.predictors import distance_to_hypothesis, singleton_class
+    from .core.predictors import HypothesisClass, distance_to_hypothesis
 
     rng = _random.Random(0)
     spaces = [
-        (StarSpace(9), singleton_class([matrix_point(i) for i in range(1, 10)])),
-        (ScaledBasisSpace(6), singleton_class([basis(i) for i in range(6)])),
+        (StarSpace(9), HypothesisClass([matrix_point(i) for i in range(1, 10)])),
+        (ScaledBasisSpace(6), HypothesisClass([basis(i) for i in range(6)])),
     ]
     for space, hclass in spaces:
         pts = space.points

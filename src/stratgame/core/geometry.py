@@ -267,16 +267,6 @@ class PermutationSphereSpace(MetricSpace):
             return len(vals) == self.n and set(vals) == self._value_set
         return False
 
-    def coords(self, p: Point) -> np.ndarray:
-        """Materialize the underlying vector (for validation, not hot paths)."""
-        self.check_point(p)
-        v = np.zeros(self.n)
-        if p[0] == "basis":
-            v[p[1]] = 1.0
-        elif p[0] == "perm":
-            v[:] = np.asarray(p[1], dtype=float) / self.z
-        return v
-
     def dist(self, a: Point, b: Point) -> float:
         ta, tb = a[0], b[0]
         # the sphere-to-basis pair, first because the response layer asks

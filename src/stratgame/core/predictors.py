@@ -53,19 +53,17 @@ ALL_NEGATIVE = Hypothesis(())
 
 
 class HypothesisClass:
-    """An ordered tuple of distinct hypotheses; learners refer to members by index.
+    """An ordered tuple of distinct points; member i predicts +1 on points[i] only.
 
-    ``points`` lists each member's one positive point when every member is a
-    singleton, and is None otherwise.
+    Learners refer to members by index; ``members[i]`` is the singleton
+    hypothesis of ``points[i]`` with ``parts=(i,)``.
     """
 
-    def __init__(self, members: Sequence[Hypothesis]):
-        self.members = tuple(Hypothesis(h.positive, (i,)) for i, h in enumerate(members))
-        if len({h.positive for h in self.members}) != len(self.members):
-            raise ValueError("hypothesis class members must have distinct positive sets")
-        self.points = None
-        if all(len(h.positive) == 1 for h in self.members):
-            self.points = tuple(next(iter(h.positive)) for h in self.members)
+    def __init__(self, points: Sequence[Point]):
+        self.points = tuple(points)
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("hypothesis class points must be distinct")
+        self.members = tuple(Hypothesis((p,), (i,)) for i, p in enumerate(self.points))
         self._indexes: dict = {}
 
     def distance_index(self, space: MetricSpace) -> "ClassDistanceIndex":
@@ -89,14 +87,7 @@ class HypothesisClass:
         if not parts:
             raise ValueError("a union predictor needs at least one part")
         pts = self.points
-        if pts is not None:
-            return Hypothesis([pts[i] for i in parts], parts)
-        members = self.members
-        return Hypothesis(frozenset().union(*(members[i].positive for i in parts)), parts)
-
-
-def singleton_class(points: Sequence[Point]) -> HypothesisClass:
-    return HypothesisClass([Hypothesis((p,)) for p in points])
+        return Hypothesis([pts[i] for i in parts], parts)
 
 
 def predict(f: Hypothesis, x: Point, space: MetricSpace | None = None) -> int:
@@ -133,27 +124,20 @@ class ClassDistanceIndex:
 
     def __init__(self, space: MetricSpace, hclass: HypothesisClass):
         self.space = space
-        self.hclass = hclass
+        self.points = hclass.points
         self._cache_rows: dict = {}
         self._cache_orders: dict = {}
         self._cache = space.enumerable
-
-    def _compute_row(self, x: Point) -> np.ndarray:
-        if self.hclass.points is not None:
-            return self.space.dist_row(x, self.hclass.points)
-        return np.array(
-            [distance_to_hypothesis(self.space, x, h) for h in self.hclass.members]
-        )
 
     def row(self, x: Point) -> np.ndarray:
         if self._cache:
             r = self._cache_rows.get(x)
             if r is None:
-                r = self._compute_row(x)
+                r = self.space.dist_row(x, self.points)
                 r.flags.writeable = False
                 self._cache_rows[x] = r
             return r
-        return self._compute_row(x)
+        return self.space.dist_row(x, self.points)
 
     def order(self, x: Point) -> np.ndarray:
         if self._cache:

@@ -25,7 +25,7 @@ from .core.geometry import (
     matrix_point,
     scaled_basis,
 )
-from .core.predictors import HypothesisClass, singleton_class
+from .core.predictors import HypothesisClass
 from .core.response import (Agent, Ball, Explicit, TieBreak, manipulation_type,
                             strategic_loss)
 from .protocol import ContractViolation, LearnerView
@@ -148,7 +148,7 @@ class SphereRadiusFamily:
         self.target = target
         self.space = PermutationSphereSpace(n, alpha=alpha, with_origin=True)
         _check_reach_separation(self.space)
-        self.hclass = singleton_class([basis(i) for i in range(n)])
+        self.hclass = HypothesisClass([basis(i) for i in range(n)])
         self.sphere_mass = 3 * n * eps
         z, a2 = self.space.z, alpha * alpha
         self.r_u = math.sqrt(1 + a2)
@@ -203,7 +203,7 @@ class SphereRankFamily:
         self.target = target
         self.space = PermutationSphereSpace(n, alpha=alpha, with_origin=False)
         _check_reach_separation(self.space)
-        self.hclass = singleton_class([basis(i) for i in range(n)])
+        self.hclass = HypothesisClass([basis(i) for i in range(n)])
         self.neg_mass = 6 * eps
         self._pos_ball = Ball(2.0)
         z, a2 = self.space.z, alpha * alpha
@@ -255,7 +255,7 @@ class StarSpokeFamily:
         self.eps = eps
         self.target = target
         self.space = StarSpace(n)
-        self.hclass = singleton_class([matrix_point(i) for i in range(1, n + 1)])
+        self.hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
         self.neg_mass = 3 * (n - 1) * eps
         ball = Ball(1.0)
         self._pos_agent = Agent(matrix_point(0), ball, 1)
@@ -299,7 +299,7 @@ class PrefixSetFamily:
         self.eps = eps
         self.target = target
         self.space = StarSpace(n)
-        self.hclass = singleton_class([matrix_point(i) for i in range(1, n + 1)])
+        self.hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
         self.neg_mass = 6 * eps
         self._hub = matrix_point(0)
         self._pos_agent = Agent(self._hub, Explicit(self.space.points), 1)
@@ -357,7 +357,7 @@ class StarCounterAdversary:
             raise ParameterError("need at least two spokes")
         self.n = n
         self.space = StarSpace(n)
-        self.hclass = singleton_class([matrix_point(i) for i in range(1, n + 1)])
+        self.hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
 
     def fresh(self) -> "_StarCounterState":
         return _StarCounterState(self)
@@ -414,7 +414,7 @@ class ProbingAdversary:
         self.c = 1.0 / (2 * (n + 2)) if c is None else c
         self.samples = samples
         self.space = ScaledBasisSpace(n)
-        self.hclass = singleton_class([basis(i) for i in range(n)])
+        self.hclass = HypothesisClass([basis(i) for i in range(n)])
 
     def fresh(self) -> "_ProbingState":
         return _ProbingState(self)
@@ -521,8 +521,7 @@ def random_realizable_stream(space: MetricSpace, hclass: HypothesisClass,
         raise ValueError("target must index into the hypothesis class")
     law = radius_law or UniformRadius(0.0, space.diameter() * 1.25)
     rng = random.Random(f"{seed}:stream")
-    h_star = hclass[target]
-    (target_point,) = h_star.positive
+    target_point = hclass.points[target]
     dist = space.dist
     agents = []
     for _ in range(T):
@@ -609,9 +608,9 @@ def make_environment(name: str, n: int, eps: float | None = None,
             raise ParameterError(f"unknown stream space {stream_space!r}")
         space = _STREAM_SPACES[stream_space](n, alpha)
         if stream_space == "star":
-            hclass = singleton_class([matrix_point(i) for i in range(1, n + 1)])
+            hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
         else:
-            hclass = singleton_class([basis(i) for i in range(n)])
+            hclass = HypothesisClass([basis(i) for i in range(n)])
         if isinstance(radius_law, str):
             radius_law = parse_radius_law(radius_law)
         tgt = (n - 1) if target is None else target

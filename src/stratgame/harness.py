@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 from .core.response import strategic_loss
 from .environments import make_environment
-from .learners import make_learner
+from .learners import default_union_rounds, make_learner
 from .oracle import analytic_union_loss
 from .protocol import Setting, check_learner, run_online, run_pac
 
@@ -221,9 +221,8 @@ def _bound_exact_mistakes(cfg, params, rows, agg):
 
 
 def _bound_union_budget(cfg, params, rows, agg):
-    eps = params.get("eps", cfg.eps)
-    value = 320.0 * math.log2(cfg.n) * math.log(cfg.n) / eps
-    return value, float(cfg.T), cfg.T >= value
+    value = default_union_rounds(cfg.n, params.get("eps", cfg.eps))
+    return float(value), float(cfg.T), cfg.T >= value
 
 
 _OUTPUT_LOSS_BOUNDS = ("expected-loss", "loss-quantile")
@@ -294,6 +293,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Metrics
             raise ValueError(f"bound {name!r} needs the output losses of a pac run; "
                              f"mode is {mode!r}")
     env = _environment(cfg)  # validate parameters before spawning workers
+    if mode == "pac" and env.family is None:
+        raise ValueError(f"pac mode needs an i.i.d. family environment; "
+                         f"{cfg.env!r} is not one")
     check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
     start = time.perf_counter()
     threads = _threads() if threads is None else max(1, threads)

@@ -123,9 +123,6 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
         p = 1.0 / len(self.alive)
         return [(self.hclass.union((i,)), p) for i in self.alive]
 
-    def sample_predictor(self, rng):
-        return self.hclass.union((self.alive[rng.randrange(len(self.alive))],))
-
 
 class RandomUnionLearner(_VersionSpaceLearner):
     """Plays a union of randomly sampled alive hypotheses; improper output.
@@ -224,9 +221,6 @@ class SequentialElimination(Learner):
     def predictor_distribution(self):
         return [(self.hclass.union((self.alive[0],)), 1.0)]
 
-    def sample_predictor(self, rng):
-        return self.hclass.union((self.alive[0],))
-
     def state_version(self):
         return self._version
 
@@ -297,9 +291,6 @@ class LongestSurvivor(Learner):
 
     def predictor_distribution(self):
         return self.base.predictor_distribution()
-
-    def sample_predictor(self, rng):
-        return self.base.sample_predictor(rng)
 
     def state_version(self):
         return self.base.state_version()

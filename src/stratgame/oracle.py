@@ -50,8 +50,6 @@ class Region:
 
 def describe_region(tag: str, n: int, f) -> Region:
     """Normalize a predictor (hypothesis or point iterable) to a Region."""
-    if isinstance(f, Region):
-        return f
     pts = getattr(f, "positive", f)
     at_anchor = False
     singles = set()

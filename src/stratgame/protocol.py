@@ -232,17 +232,10 @@ class Learner:
         return None
 
     def sample_predictor(self, rng: random.Random) -> Hypothesis:
-        """Draw from the next-choice distribution without touching learner state."""
-        dist = self.predictor_distribution()
-        if dist is None:
-            raise NotImplementedError(f"{self.name} exposes no sampling hook")
-        u = rng.random()
-        acc = 0.0
-        for f, p in dist:
-            acc += p
-            if u <= acc:
-                return f
-        return dist[-1][0]
+        """Draw the next choice without touching learner state; asked only of
+        learners whose ``predictor_distribution`` is None."""
+        raise ContractViolation(f"learner {self.name!r} exposes neither its next-choice "
+                                f"distribution nor a sampling hook")
 
     def state_version(self):
         """Counter that changes whenever the learner's state does.
@@ -276,9 +269,6 @@ class ConstantLearner(Learner):
 
     def predictor_distribution(self):
         return [(self.predictor, 1.0)]
-
-    def sample_predictor(self, rng):
-        return self.predictor
 
     def state_version(self):
         return 0
@@ -406,19 +396,15 @@ def _agent_supply(source, learner, streams):
 
 def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                tie: TieBreak | None = None, record: str = "full",
-               check_realizability: str = "target",
                withhold_correct: bool = False) -> Transcript:
     """Run T interaction rounds and return the transcript.
 
     ``record="counts"`` keeps only the mistake count (for long simulations).
-    ``check_realizability``: "target" verifies the declared target has zero
-    loss on every emitted agent, "full" additionally tracks the set of
+    Every emitted agent is checked for realizability: against the declared
+    target, or, when the source declares none, by tracking the set of
     consistent class members.
     ``withhold_correct`` is passed on to every ``run_round``.
     """
-    if check_realizability not in ("target", "full"):
-        raise ValueError(f"check_realizability must be 'target' or 'full', "
-                         f"got {check_realizability!r}")
     space: MetricSpace = source.space
     hclass: HypothesisClass = source.hclass
     tie = tie if tie is not None else getattr(source, "tie", TieBreak.FIXED_LOWEST)
@@ -430,11 +416,8 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
 
     transcript = Transcript(setting, seed, T)
     full = record == "full"
-    if source.target is None:
-        # no fixed target declared (adaptive adversaries that commit lazily):
-        # fall back to tracking the consistent set
-        check_realizability = "full"
-    target = hclass[source.target] if check_realizability == "target" else None
+    # adaptive adversaries that commit lazily declare no target
+    target = None if source.target is None else hclass[source.target]
     consistent = list(range(len(hclass))) if target is None else None
     tie_rng = streams.tie
 

@@ -135,6 +135,22 @@ def test_contract_and_realizability_errors_are_one_line(monkeypatch, capsys, arg
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--env", "appE", "--learner", "halving", "--setting", "x-delta", "--n", "8",
+      "--T", "50", "--seeds", "1"], "learner 'halving' exposes neither"),
+    (["--env", "random-realizable", "--learner", "random-union", "--n", "8",
+      "--T", "50", "--seeds", "2"], "pac mode needs an i.i.d. family"),
+    (["--env", "appE", "--learner", "boost:mwmr", "--n", "8", "--eps", "0.1",
+      "--delta", "0.1", "--T", "50", "--seeds", "2"], "pac mode needs an i.i.d. family"),
+])
+def test_unsupported_runs_exit_2_with_one_line(capsys, argv, message):
+    code = main(["run"] + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
 def test_config_file_reads_every_field_with_its_type(tmp_path):
     values = {
         "env": "appG", "learner": "boost:random-union", "setting": "x-delta",

@@ -59,8 +59,7 @@ def test_star_counter_vs_all_negative_learner():
     # a mistake every round while every singleton stays consistent
     env = make_environment("star-ex42", 6)
     lrn = ConstantLearner(Hypothesis(()))
-    tr = run_online(env.source_for_run(0, 12), lrn, Setting.XD_AFTER, 12, 0,
-                    check_realizability="full")
+    tr = run_online(env.source_for_run(0, 12), lrn, Setting.XD_AFTER, 12, 0)
     assert tr.mistakes == 12
     agents = [(r.context, r.y) for r in tr.rounds]
     assert all(x == matrix_point(0) and y == 1 for x, y in agents)
@@ -70,7 +69,7 @@ def test_star_counter_vs_hub_positive_learner():
     env = make_environment("star-ex42", 6)
     hub_pos = Hypothesis([matrix_point(0)])
     tr = run_online(env.source_for_run(0, 8), ConstantLearner(hub_pos),
-                    Setting.XD_AFTER, 8, 0, check_realizability="full")
+                    Setting.XD_AFTER, 8, 0)
     assert tr.mistakes == 8
 
 
@@ -370,12 +369,12 @@ def test_sphere_transcript_serializes_perm_points():
 
 def test_finite_iid_source_validation_and_sampling():
     from stratgame.core.geometry import StarSpace
-    from stratgame.core.predictors import singleton_class
+    from stratgame.core.predictors import HypothesisClass
     from stratgame.core.response import Agent, Ball
     from stratgame.environments import FiniteIIDSource
 
     space = StarSpace(4)
-    hclass = singleton_class([matrix_point(i) for i in range(1, 5)])
+    hclass = HypothesisClass([matrix_point(i) for i in range(1, 5)])
     atoms = [(Agent(matrix_point(0), Ball(1.0), 1), 0.8),
              (Agent(matrix_point(2), Ball(0.0), -1), 0.2)]
     src = FiniteIIDSource(space, hclass, 0, atoms)
@@ -392,13 +391,13 @@ def test_finite_iid_source_validation_and_sampling():
 
 def test_point_mass_positive_gives_zero_output_loss():
     from stratgame.core.geometry import StarSpace
-    from stratgame.core.predictors import singleton_class
+    from stratgame.core.predictors import HypothesisClass
     from stratgame.core.response import Agent, Ball, population_loss
     from stratgame.environments import FiniteIIDSource
     from stratgame.protocol import run_pac
 
     space = StarSpace(4)
-    hclass = singleton_class([matrix_point(i) for i in range(1, 5)])
+    hclass = HypothesisClass([matrix_point(i) for i in range(1, 5)])
     src = FiniteIIDSource(space, hclass, 2,
                           [(Agent(matrix_point(0), Ball(1.0), 1), 1.0)])
     out, _ = run_pac(src, make_learner("random-union"), Setting.XD_AFTER, 40, 0)

@@ -234,3 +234,21 @@ def test_learner_contract_checked_before_any_seed(monkeypatch, overrides, messag
         setattr(cfg, key, value)
     with pytest.raises(ContractViolation, match=message):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"learner": "random-union"},
+    {"env": "appE", "learner": "boost:mwmr", "setting": "x-delta-after", "n": 8,
+     "eps": 0.1, "delta": 0.1},
+])
+def test_pac_mode_on_non_iid_environment_rejected_before_any_seed(monkeypatch, overrides):
+    from stratgame import harness
+
+    def no_seed(cfg, seed):
+        raise AssertionError("a seed ran before the pac/environment check")
+
+    monkeypatch.setattr(harness, "run_single_seed", no_seed)
+    cfg = _small_cfg(seeds=[0, 1], bounds=[], **overrides)
+    assert cfg.resolved_mode() == "pac"
+    with pytest.raises(ValueError, match="pac mode needs an i.i.d. family"):
+        run_experiment(cfg)

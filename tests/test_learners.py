@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from stratgame.core.geometry import MatrixSpace, StarSpace, matrix_point, validate_metric
-from stratgame.core.predictors import Hypothesis, singleton_class
+from stratgame.core.predictors import Hypothesis, HypothesisClass
 from stratgame.environments import make_environment
 from stratgame.learners import (
     BoostConfig,
@@ -33,7 +33,7 @@ def line_space(n):
     """x at coordinate 0 plus n singleton anchors at coordinates 1..n."""
     pts = [matrix_point(i) for i in range(n + 1)]
     space = MatrixSpace.from_metric(pts, lambda a, b: abs(a[1] - b[1]))
-    hclass = singleton_class(pts[1:])
+    hclass = HypothesisClass(pts[1:])
     return space, hclass
 
 
@@ -54,7 +54,7 @@ def test_halving_single_member():
 def test_halving_median_by_index_on_ties():
     # from the hub every singleton is at distance 1: rank ceil(n/2) by index
     space = StarSpace(5)
-    hclass = singleton_class([matrix_point(i) for i in range(1, 6)])
+    hclass = HypothesisClass([matrix_point(i) for i in range(1, 6)])
     lrn = _reset(make_learner("halving"), hclass, space, Setting.X_BEFORE)
     assert lrn.choose(matrix_point(0)).parts == (2,)  # third of five
 
@@ -65,7 +65,7 @@ def test_halving_median_odd_distances():
             frozenset((1, 2)): 1.5, frozenset((1, 3)): 2.5, frozenset((2, 3)): 3.0}
     space = MatrixSpace.from_metric(pts, lambda a, b: dist[frozenset((a[1], b[1]))])
     validate_metric(space)
-    hclass = singleton_class(pts[1:])
+    hclass = HypothesisClass(pts[1:])
     lrn = _reset(make_learner("halving"), hclass, space, Setting.X_BEFORE)
     assert lrn.choose(matrix_point(0)).parts == (1,)  # the distance-1.0 member
 
@@ -265,6 +265,23 @@ def test_union_finalize_needs_interaction():
     lrn = _reset(make_learner("random-union"), hclass, space)
     with pytest.raises(ContractViolation):
         lrn.finalize()
+
+
+@pytest.mark.parametrize("name", ["halving", "mwmr"])
+def test_version_space_finalize_returns_the_last_choice(name):
+    env = make_environment("appJ", 8, eps=0.04, target=5)
+    lrn = make_learner(name)
+    out, tr = run_pac(env.source_for_run(0, 30), lrn, lrn.requires, 30, 0)
+    assert out is tr.rounds[-1].predictor
+
+
+@pytest.mark.parametrize("name", ["halving", "mwmr"])
+def test_version_space_finalize_before_any_round_is_first_alive_member(name):
+    env = make_environment("appJ", 8, eps=0.04, target=5)
+    lrn = make_learner(name)
+    out, tr = run_pac(env.source_for_run(0, 0), lrn, lrn.requires, 0, 0)
+    assert tr.rounds == [] and lrn.alive_indices[0] == 0
+    assert out is env.hclass[0]
 
 
 # -------------------------------------------------------------------- seq-elim

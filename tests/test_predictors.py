@@ -16,18 +16,16 @@ from stratgame.core.geometry import (
 from stratgame.core.predictors import (
     ALL_NEGATIVE,
     ClassDistanceIndex,
-    Hypothesis,
     HypothesisClass,
     distance_to_hypothesis,
     predict,
-    singleton_class,
 )
 
 
 @pytest.fixture
 def star8():
     space = StarSpace(8)
-    hclass = singleton_class([matrix_point(i) for i in range(1, 9)])
+    hclass = HypothesisClass([matrix_point(i) for i in range(1, 9)])
     return space, hclass
 
 
@@ -59,7 +57,7 @@ def test_distance_zero_when_positive(star8):
 
 def test_distance_on_sphere_space():
     space = PermutationSphereSpace(3, alpha=0.1)
-    hclass = singleton_class([basis(i) for i in range(3)])
+    hclass = HypothesisClass([basis(i) for i in range(3)])
     x = perm_point((0, 1, 2))  # first coordinate zero
     d = distance_to_hypothesis(space, x, hclass.union((0,)))
     assert d == pytest.approx(math.sqrt(1.01), abs=1e-12)
@@ -87,8 +85,7 @@ def test_union_distance_identity_sampled(star8):
 
 def test_class_rejects_duplicates():
     with pytest.raises(ValueError, match="distinct"):
-        HypothesisClass([Hypothesis([matrix_point(1)]),
-                         Hypothesis([matrix_point(1)])])
+        HypothesisClass([matrix_point(1), matrix_point(1)])
 
 
 def test_union_needs_parts(star8):
@@ -117,7 +114,7 @@ def test_distance_index_rows_match_bruteforce(star8):
 
 def test_distance_index_on_formula_space():
     space = PermutationSphereSpace(5)
-    hclass = singleton_class([basis(i) for i in range(5)])
+    hclass = HypothesisClass([basis(i) for i in range(5)])
     index = ClassDistanceIndex(space, hclass)
     x = perm_point((3, 1, 0, 4, 2))
     row = index.row(x)
@@ -127,7 +124,7 @@ def test_distance_index_on_formula_space():
 
 def test_distance_index_caches_on_enumerable_spaces():
     space = ScaledBasisSpace(4)
-    hclass = singleton_class([basis(i) for i in range(4)])
+    hclass = HypothesisClass([basis(i) for i in range(4)])
     index = ClassDistanceIndex(space, hclass)
     r1 = index.row(basis(2))
     r2 = index.row(basis(2))

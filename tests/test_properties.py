@@ -10,7 +10,7 @@ from stratgame.core.geometry import (
     matrix_point,
     validate_metric,
 )
-from stratgame.core.predictors import distance_to_hypothesis, predict, singleton_class
+from stratgame.core.predictors import HypothesisClass, distance_to_hypothesis, predict
 from stratgame.core.response import Agent, Ball, Explicit, TieBreak, best_response, strategic_loss
 from stratgame.environments import make_environment
 from stratgame.learners import make_learner
@@ -41,7 +41,7 @@ def test_best_response_and_loss_agree(space, seed):
     rng = random.Random(seed)
     pts = space.points
     k = len(pts)
-    hclass = singleton_class(pts)
+    hclass = HypothesisClass(pts)
     x = pts[rng.randrange(k)]
     if rng.random() < 0.5:
         u = Ball(rng.random() * 2.0)
@@ -65,7 +65,7 @@ def test_best_response_and_loss_agree(space, seed):
 def test_ball_response_minimality(space, seed):
     rng = random.Random(seed)
     pts = space.points
-    hclass = singleton_class(pts)
+    hclass = HypothesisClass(pts)
     x = pts[rng.randrange(len(pts))]
     agent = Agent(x, Ball(rng.random() * 1.5), 1)
     k = rng.randint(1, min(3, len(pts)))
@@ -81,7 +81,7 @@ def test_ball_response_minimality(space, seed):
 def test_union_distance_is_min_of_parts(space, seed):
     rng = random.Random(seed)
     pts = space.points
-    hclass = singleton_class(pts)
+    hclass = HypothesisClass(pts)
     k = len(pts)
     parts = tuple(rng.sample(range(k), rng.randint(1, min(4, k))))
     x = pts[rng.randrange(k)]
@@ -96,7 +96,7 @@ def test_union_distance_is_min_of_parts(space, seed):
 @given(st.integers(0, 5_000), st.integers(3, 16))
 def test_strategic_loss_is_tie_policy_invariant(seed, n):
     space = StarSpace(n)
-    hclass = singleton_class([matrix_point(i) for i in range(1, n + 1)])
+    hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
     rng = random.Random(seed)
     pts = space.points
     for _ in range(20):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from stratgame.core.geometry import StarSpace, matrix_point
-from stratgame.core.predictors import Hypothesis, singleton_class
+from stratgame.core.predictors import Hypothesis, HypothesisClass
 from stratgame.core.response import Agent, Ball, TieBreak, strategic_loss
 from stratgame.environments import make_environment
 from stratgame.learners import make_learner
@@ -26,7 +26,7 @@ from stratgame.protocol import (
 @pytest.fixture
 def star5():
     space = StarSpace(5)
-    hclass = singleton_class([matrix_point(i) for i in range(1, 6)])
+    hclass = HypothesisClass([matrix_point(i) for i in range(1, 6)])
     return space, hclass
 
 
@@ -196,18 +196,7 @@ def test_full_consistency_check(star5):
     from stratgame.environments import SequenceSource
     src = SequenceSource(space, hclass, None, agents)
     with pytest.raises(RealizabilityError):
-        run_online(src, make_learner("seq-elim"), Setting.BLIND, 2, 0,
-                   check_realizability="full")
-
-
-@pytest.mark.parametrize("mode", ["off", "targte", None])
-def test_check_realizability_accepts_only_target_or_full(star5, mode):
-    space, hclass = star5
-    from stratgame.environments import SequenceSource
-    src = SequenceSource(space, hclass, 0, [Agent(matrix_point(1), Ball(0.0), 1)])
-    with pytest.raises(ValueError, match="check_realizability"):
-        run_online(src, make_learner("seq-elim"), Setting.BLIND, 1, 0,
-                   check_realizability=mode)
+        run_online(src, make_learner("seq-elim"), Setting.BLIND, 2, 0)
 
 
 def test_conservative_replay_identity():

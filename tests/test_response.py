@@ -13,7 +13,7 @@ from stratgame.core.geometry import (
     basis,
     matrix_point,
 )
-from stratgame.core.predictors import predict, singleton_class
+from stratgame.core.predictors import HypothesisClass, predict
 from stratgame.core.response import (
     Agent,
     Ball,
@@ -29,7 +29,7 @@ from stratgame.core.response import (
 @pytest.fixture
 def star5():
     space = StarSpace(5)
-    hclass = singleton_class([matrix_point(i) for i in range(1, 6)])
+    hclass = HypothesisClass([matrix_point(i) for i in range(1, 6)])
     return space, hclass
 
 
@@ -65,7 +65,7 @@ def test_best_response_moves_to_star_arm(star5):
 
 def test_best_response_ball_minimality_bruteforce():
     space = ScaledBasisSpace(4)
-    hclass = singleton_class([basis(i) for i in range(4)])
+    hclass = HypothesisClass([basis(i) for i in range(4)])
     rng = random.Random(5)
     pts = space.points
     for _ in range(500):
@@ -89,7 +89,7 @@ def _window_space(dists):
     pts = [matrix_point(k) for k in range(len(dists) + 1)]
     m = np.zeros((len(pts), len(pts)))
     m[0, 1:] = m[1:, 0] = dists
-    return MatrixSpace(pts, m), singleton_class(pts[1:])
+    return MatrixSpace(pts, m), HypothesisClass(pts[1:])
 
 
 def test_tolerance_window_of_reach_and_ties():
@@ -131,7 +131,7 @@ def test_tolerance_window_of_reach_and_ties():
 def test_best_response_explicit_fixed_order():
     # brute force over u with the fixed point order picks the lowest identity
     space = StarSpace(3)
-    hclass = singleton_class([matrix_point(i) for i in range(1, 4)])
+    hclass = HypothesisClass([matrix_point(i) for i in range(1, 4)])
     agent = Agent(matrix_point(0),
                   Explicit([matrix_point(0), matrix_point(1), matrix_point(2)]), -1)
     f = hclass.union((0, 1))  # positive at spokes 1 and 2
@@ -256,7 +256,7 @@ def test_randomized_loss_linearity(star5):
 def test_randomized_loss_uniform_singletons_radius_zero():
     # immovable origin negative: no singleton covers it, expected loss 0
     space = PermutationSphereSpace(4, with_origin=True)
-    hclass = singleton_class([basis(i) for i in range(4)])
+    hclass = HypothesisClass([basis(i) for i in range(4)])
     agent = Agent(ORIGIN, Ball(0.0), -1)
     mix = [(hclass.union((i,)), 0.25) for i in range(4)]
     assert strategic_loss_randomized(space, mix, agent) == 0.0
