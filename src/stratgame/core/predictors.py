@@ -53,11 +53,7 @@ ALL_NEGATIVE = Hypothesis(())
 
 
 class HypothesisClass:
-    """An ordered tuple of distinct points; member i predicts +1 on points[i] only.
-
-    Learners refer to members by index; ``members[i]`` is the singleton
-    hypothesis of ``points[i]`` with ``parts=(i,)``.
-    """
+    """Distinct points; member i, ``parts=(i,)``, is positive on ``points[i]`` alone."""
 
     def __init__(self, points: Sequence[Point]):
         self.points = tuple(points)
