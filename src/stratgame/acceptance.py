@@ -16,7 +16,7 @@ from fractions import Fraction
 from .core.response import strategic_loss
 from .environments import make_environment
 from .harness import ExperimentConfig, monte_carlo_loss, run_experiment
-from .learners import default_union_rounds, make_learner
+from .learners import SurvivorConfig, default_union_rounds, make_learner
 from .oracle import exact_loss
 from .protocol import Setting, run_online
 
@@ -133,12 +133,11 @@ def criterion_6_boosting() -> CriterionResult:
 def criterion_7_longest_survivor() -> CriterionResult:
     """Survivor-wrapped elimination meets its PAC guarantee on the star family."""
     n, eps, delta = 16, 0.1, 0.1
-    budget = n
-    threshold = math.ceil(math.log(budget / delta) / eps)
+    T = SurvivorConfig(budget=n, epsilon=eps, delta=delta).recommended_rounds
     cfg = ExperimentConfig(
         env="appJ", learner="survivor:seq-elim", setting="delta-only",
-        n=n, T=budget * threshold, seeds=list(range(400)),
-        eps=eps, delta=delta, budget=budget, env_eps=0.02, target=n - 1,
+        n=n, T=T, seeds=list(range(400)),
+        eps=eps, delta=delta, budget=n, env_eps=0.02, target=n - 1,
         bounds=[{"name": "loss-quantile", "limit": eps, "fraction": 0.9}])
     passed, details, dt = _timed(lambda: _report_check(cfg))
     return CriterionResult("longest-survivor-loss", passed, details, dt)
@@ -403,12 +402,12 @@ CRITERIA = [
 ]
 
 
-def run_all(only: list | None = None, echo=print) -> list:
+def run_all(only: list | None = None) -> list:
     results = []
     for idx, fn in enumerate(CRITERIA, start=1):
         if only and idx not in only:
             continue
         result = fn()
         results.append(result)
-        echo(result.line())
+        print(result.line())
     return results

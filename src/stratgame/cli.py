@@ -19,7 +19,7 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
-from .environments import environment_names
+from .environments import _STREAM_SPACES, environment_names
 from .harness import (
     ExperimentConfig,
     emit_report,
@@ -28,16 +28,16 @@ from .harness import (
 )
 from .learners import learner_names
 from .oracle import analytic_union_loss, exact_loss
-from .protocol import ContractViolation, RealizabilityError
+from .protocol import ContractViolation, RealizabilityError, Setting
 
-SETTINGS = ("x-delta", "x-delta-after", "delta-only", "none")
+SETTINGS = tuple(s.value for s in Setting)
 
-# config keys by annotated type ("int", "float | None", ...); seeds, bounds
-# and record are not plain flags
+# config keys by annotated type ("int", "float | None", ...); seeds and
+# bounds are not plain flags
 _FIELD_TYPES = {f.name: f.type.split(" |")[0] for f in fields(ExperimentConfig)}
 _INT_KEYS = {k for k, t in _FIELD_TYPES.items() if t == "int"}
 _FLOAT_KEYS = {k for k, t in _FIELD_TYPES.items() if t == "float"}
-_FLAG_KEYS = tuple(k for k in _FIELD_TYPES if k not in ("seeds", "bounds", "record"))
+_FLAG_KEYS = tuple(k for k in _FIELD_TYPES if k not in ("seeds", "bounds"))
 
 
 def _parse_seeds(text: str) -> list:
@@ -81,10 +81,9 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("auto", "online", "pac"))
     p.add_argument("--seeds", help="count, lo:hi, or comma list")
     p.add_argument("--stream-space", dest="stream_space",
-                   choices=("star", "scaled-basis", "sphere", "sphere-origin"))
+                   choices=tuple(_STREAM_SPACES))
     p.add_argument("--radius-law", dest="radius_law",
                    help="uniform:<lo>:<hi> or const:<r>")
-    p.add_argument("--loss-samples", dest="loss_samples", type=int)
     p.add_argument("--estimation-samples", dest="estimation_samples", type=int)
     p.add_argument("--bound", action="append", default=None,
                    help="bound spec, e.g. loss-quantile:limit=0.4,fraction=0.9")

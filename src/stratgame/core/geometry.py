@@ -192,12 +192,12 @@ class ScaledBasisSpace(MetricSpace):
     """
 
     enumerable = True
+    factor = 0.9
 
-    def __init__(self, n: int, factor: float = 0.9):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one basis direction")
         self.n = n
-        self.factor = factor
         self.points = [ORIGIN] + [basis(i) for i in range(n)] + [
             scaled_basis(i) for i in range(n)
         ]
@@ -322,8 +322,7 @@ def iter_permutations(n: int) -> Iterable[tuple]:
     return itertools.permutations(range(n))
 
 
-def validate_metric(space: MetricSpace, rng: random.Random | None = None,
-                    tol: float = TOL) -> None:
+def validate_metric(space: MetricSpace, rng: random.Random | None = None) -> None:
     """Check the metric axioms, raising AssertionError on violation.
 
     Exhaustive over all triples for enumerable spaces up to 200 points;
@@ -336,12 +335,12 @@ def validate_metric(space: MetricSpace, rng: random.Random | None = None,
         for i in range(n):
             for j in range(n):
                 m[i, j] = space.dist(pts[i], pts[j])
-        assert np.all(np.abs(np.diag(m)) <= tol), "d(a,a) != 0"
-        assert np.all(np.abs(m - m.T) <= tol), "asymmetric distance"
-        assert np.all(m >= -tol), "negative distance"
+        assert np.all(np.abs(np.diag(m)) <= TOL), "d(a,a) != 0"
+        assert np.all(np.abs(m - m.T) <= TOL), "asymmetric distance"
+        assert np.all(m >= -TOL), "negative distance"
         # triangle inequality over all triples at once
         tri = m[:, :, None] + m[None, :, :]  # d(a,b) + d(b,c)
-        assert np.all(m[:, None, :] <= tri + tol), "triangle inequality violated"
+        assert np.all(m[:, None, :] <= tri + TOL), "triangle inequality violated"
         return
     rng = rng or random.Random(0)
     for _ in range(SAMPLED_TRIPLES):
@@ -349,7 +348,7 @@ def validate_metric(space: MetricSpace, rng: random.Random | None = None,
         b = space.sample_point(rng)
         c = space.sample_point(rng)
         dab, dba = space.dist(a, b), space.dist(b, a)
-        assert space.dist(a, a) <= tol
-        assert abs(dab - dba) <= tol
-        assert dab >= -tol
-        assert space.dist(a, c) <= dab + space.dist(b, c) + tol
+        assert space.dist(a, a) <= TOL
+        assert abs(dab - dba) <= TOL
+        assert dab >= -TOL
+        assert space.dist(a, c) <= dab + space.dist(b, c) + TOL

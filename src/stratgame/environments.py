@@ -88,16 +88,15 @@ class FiniteIIDSource:
 
     kind = "iid"
     tag = "finite"
+    tie = TieBreak.FIXED_LOWEST
 
-    def __init__(self, space, hclass, target, atoms,
-                 tie: TieBreak = TieBreak.FIXED_LOWEST):
+    def __init__(self, space, hclass, target, atoms):
         total = math.fsum(p for _, p in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"atom probabilities sum to {total!r}, not 1")
         self.space = space
         self.hclass = hclass
         self.target = target
-        self.tie = tie
         self.atoms = list(atoms)
         self._agents = [a for a, _ in self.atoms]
         self.manipulation = manipulation_type(self._agents)
@@ -500,13 +499,13 @@ def parse_radius_law(text: str):
 
 class SequenceSource:
     kind = "sequence"
+    tie = TieBreak.FIXED_LOWEST
 
-    def __init__(self, space, hclass, target, agents, tie=TieBreak.FIXED_LOWEST):
+    def __init__(self, space, hclass, target, agents):
         self.space = space
         self.hclass = hclass
         self.target = target
         self.agents = agents
-        self.tie = tie
         self.manipulation = manipulation_type(agents)
 
 
@@ -528,7 +527,7 @@ def random_realizable_stream(space: MetricSpace, hclass: HypothesisClass,
         x = space.sample_point(rng)
         r = law.draw(rng)
         # singleton target: positive iff already at the point or within reach
-        y = 1 if dist(x, target_point) <= r + 1e-9 else -1
+        y = 1 if dist(x, target_point) <= r + TOL else -1
         agents.append(Agent(x, Ball(r), y))
     return SequenceSource(space, hclass, target, agents)
 
@@ -538,13 +537,11 @@ def random_realizable_stream(space: MetricSpace, hclass: HypothesisClass,
 
 
 class EnvSpec:
-    """A named environment: how to build the per-run agent source."""
+    """An environment: how to build the per-run agent source."""
 
-    def __init__(self, name, space, hclass, target, shared=None, stream_args=None):
-        self.name = name
+    def __init__(self, space, hclass, shared=None, stream_args=None):
         self.space = space
         self.hclass = hclass
-        self.target = target
         self.shared = shared
         self._stream_args = stream_args
 
@@ -563,8 +560,8 @@ class EnvSpec:
     def source_for_run(self, seed: int, T: int):
         if self.shared is not None:
             return self.shared
-        space, hclass, target, law = self._stream_args
-        return random_realizable_stream(space, hclass, target, T, seed, law)
+        target, law = self._stream_args
+        return random_realizable_stream(self.space, self.hclass, target, T, seed, law)
 
 
 _STREAM_SPACES = {
@@ -583,15 +580,14 @@ def environment_names() -> list:
 def make_environment(name: str, n: int, eps: float | None = None,
                      target: int | None = None, alpha: float = 0.1,
                      c: float | None = None, samples: int = 1000,
-                     stream_space: str = "star", radius_law=None,
-                     validate: bool = True) -> EnvSpec:
+                     stream_space: str = "star", radius_law=None) -> EnvSpec:
     """Build a named environment; family parameters are checked here."""
     if name == "star-ex42":
         adv = StarCounterAdversary(n)
-        return EnvSpec(name, adv.space, adv.hclass, adv.target, shared=adv)
+        return EnvSpec(adv.space, adv.hclass, shared=adv)
     if name == "appE":
         adv = ProbingAdversary(n, target=target, c=c, samples=samples)
-        return EnvSpec(name, adv.space, adv.hclass, adv.target, shared=adv)
+        return EnvSpec(adv.space, adv.hclass, shared=adv)
     if name in ("appG", "appI", "appJ", "appK"):
         if eps is None:
             raise ParameterError(f"{name} needs eps")
@@ -599,10 +595,10 @@ def make_environment(name: str, n: int, eps: float | None = None,
         cls = {"appG": SphereRadiusFamily, "appI": SphereRankFamily,
                "appJ": StarSpokeFamily, "appK": PrefixSetFamily}[name]
         if name in ("appG", "appI"):
-            fam = cls(n, eps, target=tgt, alpha=alpha, validate=validate)
+            fam = cls(n, eps, target=tgt, alpha=alpha)
         else:
-            fam = cls(n, eps, target=tgt, validate=validate)
-        return EnvSpec(name, fam.space, fam.hclass, fam.target, shared=fam)
+            fam = cls(n, eps, target=tgt)
+        return EnvSpec(fam.space, fam.hclass, shared=fam)
     if name == "random-realizable":
         if stream_space not in _STREAM_SPACES:
             raise ParameterError(f"unknown stream space {stream_space!r}")
@@ -616,6 +612,5 @@ def make_environment(name: str, n: int, eps: float | None = None,
         tgt = (n - 1) if target is None else target
         if not 0 <= tgt < len(hclass):
             raise ParameterError("target index out of range")
-        return EnvSpec(name, space, hclass, tgt,
-                       stream_args=(space, hclass, tgt, radius_law))
+        return EnvSpec(space, hclass, stream_args=(tgt, radius_law))
     raise KeyError(f"unknown environment {name!r}; known: {environment_names()}")

@@ -22,7 +22,7 @@ from .learners import default_union_rounds, make_learner
 from .oracle import analytic_union_loss
 from .protocol import Setting, check_learner, run_online, run_pac
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _PAC_LEARNERS = ("random-union",)
 _PAC_PREFIXES = ("survivor:", "boost:")
@@ -48,9 +48,7 @@ class ExperimentConfig:
     estimation_samples: int = 1000
     stream_space: str = "star"
     radius_law: str | None = None
-    loss_samples: int = 100_000
     bounds: list = field(default_factory=list)
-    record: str = "counts"
 
     def resolved_mode(self) -> str:
         if self.mode != "auto":
@@ -63,12 +61,16 @@ class ExperimentConfig:
         return self.env_eps if self.env_eps is not None else self.eps
 
 
-def _threads() -> int:
-    raw = os.environ.get("STRATGAME_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _threads(threads: int | None) -> int:
+    """The worker count: ``threads``, else STRATGAME_THREADS, else 1."""
+    if threads is None:
+        raw = os.environ.get("STRATGAME_THREADS", "1")
+        if not (raw.isdecimal() and int(raw) > 0):
+            raise ValueError(f"STRATGAME_THREADS must be a positive integer, got {raw!r}")
+        return int(raw)
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
+    return threads
 
 
 # The most recently used environment only: every seed of an experiment
@@ -78,16 +80,14 @@ _env_cache: dict = {}
 
 
 def _environment(cfg: ExperimentConfig):
-    key = (cfg.env, cfg.n, cfg.family_eps(), cfg.target, cfg.alpha, cfg.c,
-           cfg.estimation_samples, cfg.stream_space, cfg.radius_law)
+    args = dict(name=cfg.env, n=cfg.n, eps=cfg.family_eps(), target=cfg.target,
+                alpha=cfg.alpha, c=cfg.c, samples=cfg.estimation_samples,
+                stream_space=cfg.stream_space, radius_law=cfg.radius_law)
+    key = tuple(args.values())
     env = _env_cache.get(key)
     if env is None:
         _env_cache.clear()
-        env = make_environment(
-            cfg.env, cfg.n, eps=cfg.family_eps(), target=cfg.target,
-            alpha=cfg.alpha, c=cfg.c, samples=cfg.estimation_samples,
-            stream_space=cfg.stream_space, radius_law=cfg.radius_law)
-        _env_cache[key] = env
+        env = _env_cache[key] = make_environment(**args)
     return env
 
 
@@ -108,18 +108,11 @@ def monte_carlo_loss(space, f, source, N: int, seed: int) -> tuple:
     return p, math.sqrt(p * (1.0 - p) / N)
 
 
-def output_loss(cfg: ExperimentConfig, env, output, seed: int) -> float:
-    """Loss of a PAC output: closed form for class unions on the hard
-    families, Monte Carlo otherwise."""
-    family = env.family
-    tag = getattr(family, "tag", None)
-    if tag in ("appG", "appI", "appJ", "appK") and output.parts is not None:
-        return float(analytic_union_loss(tag, cfg.n, family.eps, family.target,
-                                         output.parts))
-    if family is not None:
-        est, _ = monte_carlo_loss(family.space, output, family, cfg.loss_samples, seed)
-        return est
-    raise ValueError("output loss needs an i.i.d. family environment")
+def output_loss(family, output) -> float:
+    """Loss of a PAC output on one of the hard i.i.d. families, in closed form:
+    every learner's output is a class member or a union of members."""
+    return float(analytic_union_loss(family.tag, family.n, family.eps, family.target,
+                                     output.parts))
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
@@ -128,12 +121,10 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
     source = env.source_for_run(seed, cfg.T)
     setting = Setting.from_name(cfg.setting)
     if cfg.resolved_mode() == "pac":
-        out, transcript = run_pac(source, learner, setting, cfg.T, seed,
-                                  record=cfg.record)
-        loss = output_loss(cfg, env, out, seed)
+        out, transcript = run_pac(source, learner, setting, cfg.T, seed, record="counts")
+        loss = output_loss(env.family, out)
     else:
-        transcript = run_online(source, learner, setting, cfg.T, seed,
-                                record=cfg.record)
+        transcript = run_online(source, learner, setting, cfg.T, seed, record="counts")
         loss = None
     return {"seed": seed, "mistakes": transcript.mistakes,
             "rounds": transcript.T, "output_loss": loss}
@@ -284,6 +275,11 @@ class MetricsReport:
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MetricsReport:
     """Execute every seed (in parallel when configured) and evaluate bounds."""
+    threads = _threads(threads)
+    if cfg.T < 0:
+        raise ValueError(f"the horizon T must be nonnegative, got {cfg.T}")
+    if cfg.bounds and not cfg.seeds:
+        raise ValueError("bound checks need at least one seed")
     mode = cfg.resolved_mode()
     for spec in cfg.bounds:
         name = spec.get("name")
@@ -298,7 +294,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Metrics
                          f"{cfg.env!r} is not one")
     check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
     start = time.perf_counter()
-    threads = _threads() if threads is None else max(1, threads)
     seeds = list(cfg.seeds)
     if threads > 1 and len(seeds) > 1:
         cfg_dict = asdict(cfg)

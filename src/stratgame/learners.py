@@ -237,12 +237,10 @@ class SurvivorConfig:
     budget: int
     epsilon: float
     delta: float
-    threshold: int = field(default=0)
+    threshold: int = field(init=False)
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            self.threshold = math.ceil(
-                math.log(self.budget / self.delta) / self.epsilon)
+        self.threshold = math.ceil(math.log(self.budget / self.delta) / self.epsilon)
         if self.threshold < 1:
             raise ValueError("survival threshold must be at least 1")
 
@@ -287,7 +285,10 @@ class LongestSurvivor(Learner):
         self.base.observe(feedback)
 
     def finalize(self):
-        return self._frozen if self._frozen is not None else self._last
+        if self._frozen is not None:
+            return self._frozen
+        # before any round there is no choice yet: the base's output stands
+        return self._last if self._last is not None else self.base.finalize()
 
     def predictor_distribution(self):
         return self.base.predictor_distribution()
@@ -339,13 +340,13 @@ class BoostLearner(Learner):
     name = "boost"
     conservative = False
 
-    def __init__(self, base_factory, config: BoostConfig, base_name: str = "base"):
+    def __init__(self, base_factory, config: BoostConfig):
         self.base_factory = base_factory
         self.config = config
-        self.name = f"boost:{base_name}"
-        self._probe = base_factory()
-        self.requires = self._probe.requires
-        self.manipulation = self._probe.manipulation
+        probe = base_factory()
+        self.name = f"boost:{probe.name}"
+        self.requires = probe.requires
+        self.manipulation = probe.manipulation
 
     def reset(self, hclass, space, setting, rng):
         self.hclass = hclass
@@ -469,5 +470,5 @@ def make_learner(name: str, n: int | None = None, epsilon: float | None = None,
                 raise ValueError("boost wrapper needs base_rounds or the class size")
             base_rounds = default_union_rounds(n, epsilon)
         cfg = BoostConfig(epsilon=epsilon, delta=delta, base_rounds=base_rounds)
-        return BoostLearner(_BASES[base_name], cfg, base_name=base_name)
+        return BoostLearner(_BASES[base_name], cfg)
     raise KeyError(f"unknown learner {name!r}; known: {learner_names()}")

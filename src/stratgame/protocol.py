@@ -164,9 +164,8 @@ def predictor_indices(f: Hypothesis) -> list:
 class Transcript:
     """Full record of one simulation; replaying the seed reproduces it bit-exactly."""
 
-    def __init__(self, setting: Setting, seed: int, T: int):
+    def __init__(self, setting: Setting, T: int):
         self.setting = setting
-        self.seed = seed
         self.T = T
         self.rounds: list[RoundRecord] = []
         self.mistakes = 0
@@ -306,7 +305,6 @@ class RngStreams:
     """Named independent randomness streams derived from one run seed."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self.learner = random.Random(f"{seed}:learner")
         self.agent = random.Random(f"{seed}:agent")
         self.tie = random.Random(f"{seed}:tie")
@@ -395,8 +393,7 @@ def _agent_supply(source, learner, streams):
 
 
 def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
-               tie: TieBreak | None = None, record: str = "full",
-               withhold_correct: bool = False) -> Transcript:
+               record: str = "full", withhold_correct: bool = False) -> Transcript:
     """Run T interaction rounds and return the transcript.
 
     ``record="counts"`` keeps only the mistake count (for long simulations).
@@ -407,14 +404,14 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     """
     space: MetricSpace = source.space
     hclass: HypothesisClass = source.hclass
-    tie = tie if tie is not None else getattr(source, "tie", TieBreak.FIXED_LOWEST)
+    tie = source.tie
     check_learner(learner, setting, source)
 
     streams = RngStreams(seed)
     learner.reset(hclass, space, setting, streams.learner)
     next_agent = _agent_supply(source, learner, streams)
 
-    transcript = Transcript(setting, seed, T)
+    transcript = Transcript(setting, T)
     full = record == "full"
     # adaptive adversaries that commit lazily declare no target
     target = None if source.target is None else hclass[source.target]

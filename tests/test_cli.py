@@ -157,12 +157,56 @@ def test_config_file_reads_every_field_with_its_type(tmp_path):
         "n": 7, "T": 11, "mode": "pac", "eps": 0.05, "delta": 0.1, "env_eps": 0.04,
         "target": 3, "alpha": 0.2, "budget": 9, "base_rounds": 13, "c": 0.25,
         "estimation_samples": 17, "stream_space": "scaled-basis",
-        "radius_law": "const:0.5", "loss_samples": 19,
+        "radius_law": "const:0.5",
     }
     cfg = tmp_path / "all.cfg"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
     got = _config_from_args(build_parser().parse_args(["run", "--config", str(cfg)]))
     for key, value in values.items():
         assert getattr(got, key) == value and type(getattr(got, key)) is type(value), key
-    skipped = {"seeds", "bounds", "record"}
+    skipped = {"seeds", "bounds"}
     assert set(values) == set(ExperimentConfig.__dataclass_fields__) - skipped
+
+
+_APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
+
+
+@pytest.mark.parametrize("argv,threads_env,message", [
+    (_APPJ + ["--T", "10", "--seeds", "0", "--bound", "exact-mistake-count:count=99"],
+     None, "bound checks need at least one seed"),
+    (_APPJ + ["--T", "-5", "--seeds", "1"], None, "T must be nonnegative"),
+    (_APPJ + ["--T", "10", "--seeds", "2"], "abc", "STRATGAME_THREADS must be"),
+    (_APPJ + ["--T", "10", "--seeds", "2"], "0", "STRATGAME_THREADS must be"),
+    (_APPJ + ["--T", "10", "--seeds", "2"], "-2", "STRATGAME_THREADS must be"),
+    (_APPJ + ["--T", "10", "--seeds", "2", "--threads", "0"], None,
+     "threads must be a positive integer"),
+])
+def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
+                                                     threads_env, message):
+    # every seed raises, so a configuration error shows only if it comes first
+    from stratgame import harness
+    from stratgame.protocol import RealizabilityError
+
+    def unrealizable(cfg, seed):
+        raise RealizabilityError(1, "version space emptied; stream is not realizable")
+
+    monkeypatch.setattr(harness, "run_single_seed", unrealizable)
+    if threads_env is None:
+        monkeypatch.delenv("STRATGAME_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STRATGAME_THREADS", threads_env)
+    code = main(["run"] + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_survivor_run_at_zero_horizon(capsys):
+    code = main(["run", "--env", "appJ", "--learner", "survivor:seq-elim", "--n", "8",
+                 "--eps", "0.1", "--delta", "0.1", "--env-eps", "0.02", "--T", "0",
+                 "--seeds", "1"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rows"] == [{"seed": 0, "mistakes": 0, "rounds": 0,
+                               "output_loss": 0.0}]

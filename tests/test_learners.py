@@ -296,6 +296,15 @@ def test_seq_elim_walks_lowest_index():
     assert lrn.choose(None).parts == (2,)
 
 
+def test_seq_elim_finalize_after_a_last_round_mistake_is_the_next_member():
+    space, hclass = line_space(3)
+    lrn = _reset(make_learner("seq-elim"), hclass, space, Setting.BLIND)
+    played = lrn.choose(None)
+    lrn.observe(Feedback(1, -1, None, None))  # the last round is a mistake
+    assert played.parts == (0,)
+    assert lrn.finalize().parts == (1,)
+
+
 def test_seq_elim_mistakes_bounded_on_realizable_streams():
     for n in (3, 4, 5, 6):
         env = make_environment("random-realizable", n, stream_space="star",
@@ -341,6 +350,15 @@ def test_survivor_outputs_first_stable_predictor():
     assert lrn._frozen is not None
 
 
+@pytest.mark.parametrize("base", ["seq-elim", "mwmr"])
+def test_survivor_finalize_before_any_round_is_the_base_output(base):
+    env = make_environment("appJ", 8, eps=0.02, target=5)
+    lrn = make_learner(f"survivor:{base}", n=8, epsilon=0.1, delta=0.1)
+    out, tr = run_pac(env.source_for_run(0, 0), lrn, Setting.XD_AFTER, 0, 0)
+    assert tr.mistakes == 0 and lrn._frozen is None
+    assert out is env.hclass[0]
+
+
 def test_survivor_failure_rate_within_delta():
     # non-vacuous check: a wrong singleton's loss (0.315) exceeds the target
     # accuracy (0.3), so surviving on a wrong singleton counts as a failure
@@ -373,8 +391,7 @@ def test_boost_accepts_perfect_base_immediately():
     env = make_environment("appJ", 5, eps=0.02, target=2)
     target_predictor = env.hclass.union((2,))
     cfg = BoostConfig(epsilon=0.1, delta=0.2, base_rounds=30)
-    lrn = BoostLearner(lambda: ConstantLearner(target_predictor), cfg,
-                       base_name="constant")
+    lrn = BoostLearner(lambda: ConstantLearner(target_predictor), cfg)
     out, tr = run_pac(env.source_for_run(0, cfg.max_rounds), lrn, Setting.BLIND,
                       cfg.max_rounds, 0)
     assert out.parts == (2,)
@@ -385,10 +402,23 @@ def test_boost_falls_back_to_index_zero():
     env = make_environment("appJ", 5, eps=0.02, target=2)
     all_neg = Hypothesis(())
     cfg = BoostConfig(epsilon=0.01, delta=0.5, base_rounds=20)
-    lrn = BoostLearner(lambda: ConstantLearner(all_neg), cfg, base_name="constant")
+    lrn = BoostLearner(lambda: ConstantLearner(all_neg), cfg)
     out, _ = run_pac(env.source_for_run(1, cfg.max_rounds), lrn, Setting.BLIND,
                      cfg.max_rounds, 1)
     assert out.parts == (0,)
+
+
+def test_boost_finalize_before_any_candidate_is_index_zero():
+    env = make_environment("appJ", 5, eps=0.02, target=2)
+    cfg = BoostConfig(epsilon=0.1, delta=0.2, base_rounds=30)
+    lrn = BoostLearner(lambda: ConstantLearner(env.hclass.union((2,))), cfg)
+    out, tr = run_pac(env.source_for_run(0, 5), lrn, Setting.BLIND, 5, 0)
+    assert tr.T == 5 and lrn._candidate is None
+    assert out.parts == (0,)
+
+
+def test_boost_takes_its_name_from_the_base():
+    assert make_learner("boost:mwmr", n=8, epsilon=0.1, delta=0.1).name == "boost:mwmr"
 
 
 def test_make_learner_registry_errors():
