@@ -47,6 +47,9 @@ CASES = (
        ("star-ex42", "survivor:seq-elim", "delta-only")]
     + [("appE", "mwmr", "x-delta-after"), ("appE", "random-union", "x-delta-after"),
        ("appE", "seq-elim", "none")]
+    # learners that need x only after the round, given it before choosing
+    + [("stream-star", "mwmr", "x-delta"), ("stream-star", "random-union", "x-delta"),
+       ("appG", "random-union", "x-delta"), ("appJ", "mwmr", "x-delta")]
 )
 
 _envs: dict = {}
@@ -229,6 +232,26 @@ GOLDEN = {
         0: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
         1: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
         2: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
+    },
+    ('stream-star', 'mwmr', 'x-delta'): {
+        0: (1, "fd1dd3efa4978832cf7bebe11a86f58e4c83783d517884feb8818db9d786b550"),
+        1: (1, "615ecf2422a362661d76586932baf12120a6f07b554a4554aa6430bcae116207"),
+        2: (3, "caea2416589ab5728f6e8b1b70be4d50543c5b07848fd4bd4edccfd030064c49"),
+    },
+    ('stream-star', 'random-union', 'x-delta'): {
+        0: (1, "6d692fd09862bb249f36a57628bd220bf24fd37a10511ebbe2b790dbe5a6ce99"),
+        1: (3, "5632b16436023647a68a5396a4ba334be73af1f266e3d408fca76b7d83f50723"),
+        2: (4, "3fcf5d29c1615edfa5b91c9b1a4d9fd4532aa435641c7ed48581f66b52e1d502"),
+    },
+    ('appG', 'random-union', 'x-delta'): {
+        0: (5, "c1a25ac709771289e8807b94dfb2947f717a4e77241a432e2960707d6ec06108"),
+        1: (5, "41b71c1e2f5d49b13b9f025be66f701ba5fc2c1d2035c8461ea1e968d9b9d015"),
+        2: (5, "f3d0982c456cc31d72870e8315d39849c70fea8edb190ec74dc7666548aaa693"),
+    },
+    ('appJ', 'mwmr', 'x-delta'): {
+        0: (5, "647006522d4f9103661d8f253ae704f0b679611a90de0bd802a8bdaaa8d4abb4"),
+        1: (5, "dfe188a0dc7eed5a37ce271b40066eb927efb6c999e5285fc136eac20dc68bd3"),
+        2: (5, "89672188d8a0724d1f30da2ec6495798c21ef9a31a0cb89ffe7b11f3b03cac48"),
     },
 }
 
