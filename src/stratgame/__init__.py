@@ -33,7 +33,6 @@ from .protocol import (
     Learner,
     RealizabilityError,
     RecoveryError,
-    RoundRecord,
     Setting,
     Transcript,
     run_online,

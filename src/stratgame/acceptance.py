@@ -374,7 +374,7 @@ def _informative_round_rate(notes) -> bool:
                                 Setting.X_BEFORE, 5000, seed, record="full")
         for rec in transcript.rounds:
             total += 1
-            x = rec.context
+            x = rec.x
             if x[0] != "perm":
                 continue
             zero_axis = x[1].index(0)

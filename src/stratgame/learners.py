@@ -24,8 +24,8 @@ class _VersionSpaceLearner(Learner):
     """Shared machinery: the version space and the one distance cut.
 
     ``alive`` is the sorted list of class indices still consistent.  On a
-    mistake, d(x, f) is the distance to f's nearest part, and x is the
-    revealed context, else the feedback's original feature.
+    mistake, d(x, f) is the distance to f's nearest part, with x the
+    feedback's original feature.
     """
 
     manipulation = Ball
@@ -37,7 +37,6 @@ class _VersionSpaceLearner(Learner):
         self.alive = list(range(len(hclass)))
         self.rounds_seen = 0
         self._version = 0
-        self._ctx = None
         self._last_choice = None
 
     @property
@@ -51,7 +50,7 @@ class _VersionSpaceLearner(Learner):
         self.rounds_seen += 1
         if not feedback.mistake:
             return
-        row = self.index.row(self._ctx if self._ctx is not None else feedback.x)
+        row = self.index.row(feedback.x)
         d_f = min(row[i] for i in self._last_choice.parts)
         keep = (row < d_f - TOL if feedback.y == 1 else row > d_f + TOL).tolist()
         survivors = [i for i in self.alive if keep[i]]
@@ -93,7 +92,6 @@ class MedianHalvingLearner(_VersionSpaceLearner):
     def choose(self, context):
         if context is None:
             raise ContractViolation("halving called without a revealed feature")
-        self._ctx = context
         order = self.index.order(context)
         ranked = order[self._mask[order]]
         m = ranked.size
@@ -114,7 +112,6 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
     requires = Setting.XD_AFTER
 
     def choose(self, context):
-        self._ctx = context
         chosen = self.alive[self.rng.randrange(len(self.alive))]
         self._last_choice = self.hclass.union((chosen,))
         return self._last_choice
@@ -150,7 +147,6 @@ class RandomUnionLearner(_VersionSpaceLearner):
         return 1 << rng.randint(0, n_t.bit_length() - 2)
 
     def choose(self, context):
-        self._ctx = context
         rng = self.rng
         k = self._draw_k(len(self.alive), rng)
         parts = tuple(rng.choices(self.alive, k=k))

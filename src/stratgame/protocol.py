@@ -6,12 +6,14 @@ true label, its own prediction and setting-dependent feedback about the
 original/manipulated features.  The four settings differ only in what the
 context and feedback reveal:
 
-    x-delta        context = x, feedback reveals the manipulated feature
+    x-delta        context = x, feedback reveals both features
     x-delta-after  no context, feedback reveals both features
     delta-only     no context, feedback reveals the manipulated feature
     none           no context, label-only feedback
 
-The true label and the prediction are delivered in every setting.
+The true label and the prediction are delivered in every setting.  The
+feedback is the round's only record: a transcript is the sequence of
+feedback the learner saw.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ class Setting(Enum):
         member._value_ = value
         member.info_level = info_level
         member.reveals_x_before = info_level == 3
-        member.reveals_x_after = info_level == 2
-        member.reveals_x = info_level >= 2  # before choosing or after the round
+        member.reveals_x = info_level >= 2  # in the feedback, whenever given before
         member.reveals_delta = info_level >= 1
         return member
 
@@ -83,15 +84,19 @@ class Setting(Enum):
 
 
 class Feedback:
-    """End-of-round feedback; label and prediction always, features per setting.
+    """One round as the learner saw it: the round index, the predictor played,
+    label and prediction always, features per setting.
 
     Reading a feature that the active setting does not reveal raises
     ContractViolation, which is how setting declarations are enforced.
     """
 
-    __slots__ = ("y", "y_hat", "_x", "_delta")
+    __slots__ = ("t", "predictor", "y", "y_hat", "_x", "_delta")
 
-    def __init__(self, y: int, y_hat: int, x: Point | None, delta: Point | None):
+    def __init__(self, t: int, predictor: Hypothesis, y: int, y_hat: int,
+                 x: Point | None, delta: Point | None):
+        self.t = t
+        self.predictor = predictor
         self.y = y
         self.y_hat = y_hat
         self._x = x
@@ -122,25 +127,10 @@ class Feedback:
         return self._delta is not None
 
 
-def build_feedback(setting: Setting, agent: Agent, delta: Point, y_hat: int) -> Feedback:
-    if setting.reveals_x_after:
-        return Feedback(agent.y, y_hat, agent.x, delta)
-    if not setting.reveals_delta:
-        return Feedback(agent.y, y_hat, None, None)
-    return Feedback(agent.y, y_hat, None, delta)
-
-
-class RoundRecord:
-    __slots__ = ("t", "context", "predictor", "delta", "y_hat", "y", "mistake")
-
-    def __init__(self, t, context, predictor, delta, y_hat, y):
-        self.t = t
-        self.context = context
-        self.predictor = predictor
-        self.delta = delta
-        self.y_hat = y_hat
-        self.y = y
-        self.mistake = y_hat != y
+def build_feedback(setting: Setting, t: int, f: Hypothesis, agent: Agent,
+                   delta: Point, y_hat: int) -> Feedback:
+    return Feedback(t, f, agent.y, y_hat, agent.x if setting.reveals_x else None,
+                    delta if setting.reveals_delta else None)
 
 
 def point_str(p: Point) -> str:
@@ -162,27 +152,27 @@ def predictor_indices(f: Hypothesis) -> list:
 
 
 class Transcript:
-    """Full record of one simulation; replaying the seed reproduces it bit-exactly."""
+    """The feedback of every round; replaying the seed reproduces it bit-exactly."""
 
     def __init__(self, setting: Setting, T: int):
         self.setting = setting
         self.T = T
-        self.rounds: list[RoundRecord] = []
+        self.rounds: list[Feedback] = []
         self.mistakes = 0
 
-    def round_dict(self, rec: RoundRecord) -> dict:
+    def round_dict(self, fb: Feedback) -> dict:
         d = {
-            "t": rec.t,
+            "t": fb.t,
             "setting": self.setting.value,
-            "predictor": predictor_indices(rec.predictor),
-            "y": rec.y,
-            "y_hat": rec.y_hat,
-            "mistake": rec.mistake,
+            "predictor": predictor_indices(fb.predictor),
+            "y": fb.y,
+            "y_hat": fb.y_hat,
+            "mistake": fb.mistake,
         }
-        if self.setting.reveals_x:
-            d["x"] = point_str(rec.context)
-        if self.setting.reveals_delta:
-            d["delta"] = point_str(rec.delta)
+        if fb.has_x:
+            d["x"] = point_str(fb.x)
+        if fb.has_delta:
+            d["delta"] = point_str(fb.delta)
         return d
 
     def to_jsonl(self) -> str:
@@ -337,8 +327,8 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
 def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpace,
               tie: TieBreak = TieBreak.FIXED_LOWEST,
               rng: random.Random | None = None, t: int = 1,
-              withhold_correct: bool = False) -> RoundRecord:
-    """Execute one protocol round and return its record.
+              withhold_correct: bool = False) -> Feedback:
+    """Execute one protocol round and return the feedback the learner saw.
 
     ``withhold_correct`` suppresses feedback on correct rounds; used by the
     conservative-learner replay test.
@@ -349,9 +339,10 @@ def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpa
     y_hat = predict(f, delta)
     if setting.reveals_x and isinstance(agent.u, Ball):
         _check_recovery(space, agent, f, delta, y_hat, t)
+    feedback = build_feedback(setting, t, f, agent, delta, y_hat)
     if not (withhold_correct and y_hat == agent.y):
-        learner.observe(build_feedback(setting, agent, delta, y_hat))
-    return RoundRecord(t, agent.x, f, delta, y_hat, agent.y)
+        learner.observe(feedback)
+    return feedback
 
 
 def check_learner(learner: Learner, setting: Setting, source) -> None:
@@ -427,11 +418,11 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                           if strategic_loss(space, hclass[i], agent) == 0]
             if not consistent:
                 raise RealizabilityError(t, "no class member is consistent with the stream")
-        rec = run_round(agent, learner, setting, space, tie, tie_rng, t, withhold_correct)
-        if rec.mistake:
+        fb = run_round(agent, learner, setting, space, tie, tie_rng, t, withhold_correct)
+        if fb.mistake:
             transcript.mistakes += 1
         if full:
-            transcript.rounds.append(rec)
+            transcript.rounds.append(fb)
         if learner.finished:
             transcript.T = t
             break

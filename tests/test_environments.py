@@ -44,7 +44,7 @@ def test_star_counter_vs_sequential_elimination():
     tr = run_online(env.source_for_run(0, 4), lrn, Setting.XD_AFTER, 4, 0)
     assert tr.mistakes == 4
     assert [r.mistake for r in tr.rounds] == [True] * 4
-    assert [r.context for r in tr.rounds] == [matrix_point(i) for i in (1, 2, 3, 4)]
+    assert [r.x for r in tr.rounds] == [matrix_point(i) for i in (1, 2, 3, 4)]
 
 
 def test_star_counter_concedes_after_full_walk():
@@ -61,7 +61,7 @@ def test_star_counter_vs_all_negative_learner():
     lrn = ConstantLearner(Hypothesis(()))
     tr = run_online(env.source_for_run(0, 12), lrn, Setting.XD_AFTER, 12, 0)
     assert tr.mistakes == 12
-    agents = [(r.context, r.y) for r in tr.rounds]
+    agents = [(r.x, r.y) for r in tr.rounds]
     assert all(x == matrix_point(0) and y == 1 for x, y in agents)
 
 

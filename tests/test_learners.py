@@ -83,7 +83,7 @@ def test_halving_update_counts_by_direction(name):
         else:
             lrn.choose(None)
             lrn._last_choice = hclass.union((3,))
-        lrn.observe(Feedback(y, -y, x, x))
+        lrn.observe(Feedback(1, lrn._last_choice, y, -y, x, x))
         assert set(lrn.alive_indices) == survivors
 
 
@@ -96,14 +96,14 @@ def test_emptied_version_space_is_realizability_error(name):
     lrn.choose(x if name == "halving" else None)
     lrn._last_choice = hclass.union((0,))
     with pytest.raises(RealizabilityError, match="version space emptied"):
-        lrn.observe(Feedback(1, -1, x, x))
+        lrn.observe(Feedback(1, lrn._last_choice, 1, -1, x, x))
 
 
 def test_halving_no_mistake_keeps_version_space():
     space, hclass = line_space(6)
     lrn = _reset(make_learner("halving"), hclass, space, Setting.X_BEFORE)
     lrn.choose(matrix_point(2))
-    lrn.observe(Feedback(1, 1, None, matrix_point(2)))
+    lrn.observe(Feedback(1, lrn._last_choice, 1, 1, None, matrix_point(2)))
     assert len(lrn.alive_indices) == 6
 
 
@@ -111,7 +111,7 @@ def test_halving_removes_its_own_choice_on_missed_positive():
     space, hclass = line_space(5)
     lrn = _reset(make_learner("halving"), hclass, space, Setting.X_BEFORE)
     f = lrn.choose(matrix_point(0))
-    lrn.observe(Feedback(1, -1, None, matrix_point(0)))
+    lrn.observe(Feedback(1, f, 1, -1, matrix_point(0), matrix_point(0)))
     assert f.parts[0] not in lrn.alive_indices
 
 
@@ -160,7 +160,7 @@ def test_mwmr_draw_excludes_removed_member():
     chosen = f.parts[0]
     # a false positive at the chosen anchor point eliminates exactly it
     x = matrix_point(chosen + 1)
-    lrn.observe(Feedback(-1, 1, x, x))
+    lrn.observe(Feedback(1, f, -1, 1, x, x))
     assert chosen not in lrn.alive_indices
     for _ in range(200):
         assert lrn.choose(None).parts[0] != chosen
@@ -207,7 +207,7 @@ def test_union_correct_round_keeps_version_space():
     space, hclass = line_space(6)
     lrn = _reset(make_learner("random-union"), hclass, space)
     lrn.choose(None)
-    lrn.observe(Feedback(1, 1, matrix_point(0), matrix_point(1)))
+    lrn.observe(Feedback(1, lrn._last_choice, 1, 1, matrix_point(0), matrix_point(1)))
     assert len(lrn.alive_indices) == 6
 
 
@@ -216,7 +216,7 @@ def test_union_missed_positive_removes_every_part():
     lrn = _reset(make_learner("random-union"), hclass, space)
     lrn.choose(None)
     lrn._last_choice = hclass.union((1, 3))  # anchors at distances 2 and 4
-    lrn.observe(Feedback(1, -1, matrix_point(0), matrix_point(0)))
+    lrn.observe(Feedback(1, lrn._last_choice, 1, -1, matrix_point(0), matrix_point(0)))
     alive = set(lrn.alive_indices)
     assert alive == {0}  # only the distance-1 anchor is closer than the union
     assert not {1, 3} & alive
@@ -226,7 +226,7 @@ def test_union_finalize_single_member_history():
     space, hclass = line_space(1)
     lrn = _reset(make_learner("random-union"), hclass, space)
     lrn.choose(None)
-    lrn.observe(Feedback(1, 1, matrix_point(0), matrix_point(1)))
+    lrn.observe(Feedback(1, lrn._last_choice, 1, 1, matrix_point(0), matrix_point(1)))
     assert lrn.finalize().parts == (0, 0)
 
 
@@ -291,8 +291,8 @@ def test_seq_elim_walks_lowest_index():
     space, hclass = line_space(4)
     lrn = _reset(make_learner("seq-elim"), hclass, space, Setting.BLIND)
     assert lrn.choose(None).parts == (0,)
-    lrn.observe(Feedback(1, -1, None, None))
-    lrn.observe(Feedback(-1, 1, None, None))
+    lrn.observe(Feedback(1, hclass.union((0,)), 1, -1, None, None))
+    lrn.observe(Feedback(2, hclass.union((1,)), -1, 1, None, None))
     assert lrn.choose(None).parts == (2,)
 
 
@@ -300,7 +300,7 @@ def test_seq_elim_finalize_after_a_last_round_mistake_is_the_next_member():
     space, hclass = line_space(3)
     lrn = _reset(make_learner("seq-elim"), hclass, space, Setting.BLIND)
     played = lrn.choose(None)
-    lrn.observe(Feedback(1, -1, None, None))  # the last round is a mistake
+    lrn.observe(Feedback(1, played, 1, -1, None, None))  # the last round is a mistake
     assert played.parts == (0,)
     assert lrn.finalize().parts == (1,)
 
@@ -318,9 +318,9 @@ def test_seq_elim_mistakes_bounded_on_realizable_streams():
 def test_seq_elim_empty_version_space_is_realizability_error():
     space, hclass = line_space(2)
     lrn = _reset(make_learner("seq-elim"), hclass, space, Setting.BLIND)
-    lrn.observe(Feedback(1, -1, None, None))
+    lrn.observe(Feedback(1, hclass.union((0,)), 1, -1, None, None))
     with pytest.raises(RealizabilityError):
-        lrn.observe(Feedback(1, -1, None, None))
+        lrn.observe(Feedback(2, hclass.union((1,)), 1, -1, None, None))
 
 
 # -------------------------------------------------------------------- survivor
@@ -441,7 +441,7 @@ def test_union_false_positive_with_full_cover_keeps_target():
     lrn._last_choice = hclass.union((0, 1, 2, 3))
     # agent at x=0 with radius 1.5, truly negative: the target must sit
     # farther than 1.5, so indices 1..3 (anchors at 2..4) all qualify
-    lrn.observe(Feedback(-1, 1, matrix_point(0), matrix_point(1)))
+    lrn.observe(Feedback(1, lrn._last_choice, -1, 1, matrix_point(0), matrix_point(1)))
     assert set(lrn.alive_indices) == {1, 2, 3}
 
 

@@ -62,7 +62,7 @@ def test_run_round_no_manipulation_branch(star5):
 def test_blind_feedback_has_labels_only(star5):
     space, hclass = star5
     agent = Agent(matrix_point(0), Ball(1.0), 1)
-    fb = build_feedback(Setting.BLIND, agent, matrix_point(1), 1)
+    fb = build_feedback(Setting.BLIND, 1, hclass.union((0,)), agent, matrix_point(1), 1)
     assert fb.y == 1 and fb.y_hat == 1
     assert not fb.has_x and not fb.has_delta
     with pytest.raises(ContractViolation):
@@ -75,10 +75,11 @@ def test_feedback_projection_monotonicity(star5):
     # the weaker settings' feedback is a projection of the stronger settings'
     space, hclass = star5
     agent = Agent(matrix_point(0), Ball(1.0), 1)
-    delta, y_hat = matrix_point(2), 1
-    strongest = build_feedback(Setting.XD_AFTER, agent, delta, y_hat)
-    delta_only = build_feedback(Setting.DELTA_ONLY, agent, delta, y_hat)
-    blind = build_feedback(Setting.BLIND, agent, delta, y_hat)
+    f, delta, y_hat = hclass.union((1,)), matrix_point(2), 1
+    x_before, strongest, delta_only, blind = (
+        build_feedback(s, 1, f, agent, delta, y_hat)
+        for s in (Setting.X_BEFORE, Setting.XD_AFTER, Setting.DELTA_ONLY, Setting.BLIND))
+    assert (x_before.x, x_before.delta) == (strongest.x, strongest.delta)
     assert (strongest.y, strongest.y_hat) == (delta_only.y, delta_only.y_hat)
     assert (strongest.y, strongest.y_hat) == (blind.y, blind.y_hat)
     assert strongest.delta == delta_only.delta
@@ -236,11 +237,11 @@ def test_recovery_identity_holds_on_ball_runs(star5):
     space = src.space
     for rec in tr.rounds:
         if rec.y_hat == 1:
-            dists = [space.dist(rec.context, p)
+            dists = [space.dist(rec.x, p)
                      for p in rec.predictor.positive]
-            assert space.dist(rec.context, rec.delta) <= min(dists) + 1e-9
+            assert space.dist(rec.x, rec.delta) <= min(dists) + 1e-9
         else:
-            assert rec.delta == rec.context
+            assert rec.delta == rec.x
 
 
 @pytest.mark.parametrize("agent,parts,wrong,message", [
