@@ -128,8 +128,8 @@ class RandomUnionLearner(_VersionSpaceLearner):
     (k = 1 when a single hypothesis remains), then k members i.i.d. with
     replacement, and predicts their union.  Mistake rounds eliminate by the
     shared distance cut, with d(x, f) the minimum over parts.  The final
-    output unions two hypotheses sampled from the version space of a
-    uniformly random past round.
+    output unions two hypotheses sampled from the version space entering a
+    uniformly random past round (round 1 when no round was seen).
     """
 
     name = "random-union"
@@ -165,10 +165,8 @@ class RandomUnionLearner(_VersionSpaceLearner):
         return members
 
     def finalize(self):
-        if self.rounds_seen == 0:
-            raise ContractViolation("cannot finalize before any interaction")
         rng = self.rng
-        tau = rng.randint(1, self.rounds_seen)
+        tau = rng.randint(1, self.rounds_seen) if self.rounds_seen else 1
         members = self.version_space_before(tau)
         h1, h2 = rng.choices(members, k=2)
         return self.hclass.union((h1, h2))
@@ -221,6 +219,14 @@ class SequentialElimination(Learner):
         return self._version
 
 
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    """Reject PAC parameters outside 0 < epsilon <= 1 and 0 < delta < 1."""
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must satisfy 0 < epsilon <= 1, got {epsilon}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must satisfy 0 < delta < 1, got {delta}")
+
+
 @dataclass
 class SurvivorConfig:
     """Parameters of the mistake-bound to PAC conversion.
@@ -236,9 +242,10 @@ class SurvivorConfig:
     threshold: int = field(init=False)
 
     def __post_init__(self):
+        _check_accuracy(self.epsilon, self.delta)
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
         self.threshold = math.ceil(math.log(self.budget / self.delta) / self.epsilon)
-        if self.threshold < 1:
-            raise ValueError("survival threshold must be at least 1")
 
     @property
     def recommended_rounds(self) -> int:
@@ -312,6 +319,7 @@ class BoostConfig:
     validation_rounds: int = 0
 
     def __post_init__(self):
+        _check_accuracy(self.epsilon, self.delta)
         if self.outer_rounds <= 0:
             self.outer_rounds = math.ceil(math.log(2.0 / self.delta))
         if self.validation_rounds <= 0:
@@ -364,9 +372,7 @@ class BoostLearner(Learner):
     def choose(self, context):
         if self._phase == "base":
             return self._base.choose(context)
-        if self._phase == "validate":
-            return self._candidate
-        return self._accepted
+        return self._candidate  # validating; run_online stops once finished
 
     def observe(self, feedback):
         cfg = self.config

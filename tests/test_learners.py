@@ -260,11 +260,12 @@ def test_union_finalize_matches_exact_mixture():
     assert result.pvalue > 1e-3
 
 
-def test_union_finalize_needs_interaction():
-    space, hclass = line_space(2)
-    lrn = _reset(make_learner("random-union"), hclass, space)
-    with pytest.raises(ContractViolation):
-        lrn.finalize()
+def test_union_finalize_before_any_round():
+    # with no round seen, both parts come from the version space entering round 1
+    env = make_environment("appG", 6, eps=0.02, target=5)
+    out, tr = run_pac(env.source_for_run(0, 0), make_learner("random-union"),
+                      Setting.XD_AFTER, 0, 0)
+    assert tr.rounds == [] and len(out.parts) == 2
 
 
 @pytest.mark.parametrize("name", ["halving", "mwmr"])
@@ -330,6 +331,15 @@ def test_survivor_threshold_formula():
     cfg = SurvivorConfig(budget=8, epsilon=0.1, delta=0.05)
     assert cfg.threshold == 51  # ceil(10 * ln(160))
     assert cfg.recommended_rounds == 8 * 51
+
+
+@pytest.mark.parametrize("epsilon,delta,field", [
+    (0.0, 0.1, "epsilon"), (1.5, 0.1, "epsilon"), (0.1, 0.0, "delta"), (0.1, 1.0, "delta")])
+def test_pac_configs_range_check_epsilon_and_delta(epsilon, delta, field):
+    with pytest.raises(ValueError, match=f"^{field} must satisfy"):
+        SurvivorConfig(budget=8, epsilon=epsilon, delta=delta)
+    with pytest.raises(ValueError, match=f"^{field} must satisfy"):
+        BoostConfig(epsilon=epsilon, delta=delta, base_rounds=10)
 
 
 def test_survivor_requires_conservative_base():
