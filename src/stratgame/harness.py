@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -22,7 +21,7 @@ from .learners import default_union_rounds, make_learner
 from .oracle import analytic_union_loss
 from .protocol import Setting, check_learner, run_online, run_pac
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _PAC_LEARNERS = ("random-union",)
 _PAC_PREFIXES = ("survivor:", "boost:")
@@ -250,7 +249,6 @@ class MetricsReport:
     rows: list
     aggregate: dict
     bounds: list
-    wall_clock_s: float
 
     @property
     def all_bounds_pass(self) -> bool:
@@ -260,17 +258,16 @@ class MetricsReport:
         return asdict(self)
 
     @classmethod
-    def from_rows(cls, cfg: ExperimentConfig, rows: list,
-                  wall_clock_s: float) -> "MetricsReport":
+    def from_rows(cls, cfg: ExperimentConfig, rows: list) -> "MetricsReport":
         rows = sorted(rows, key=lambda r: r["seed"])
         agg = aggregate_rows(rows)
         bounds = evaluate_bounds(cfg, rows, agg)
-        return cls(SCHEMA_VERSION, asdict(cfg), rows, agg, bounds, wall_clock_s)
+        return cls(SCHEMA_VERSION, asdict(cfg), rows, agg, bounds)
 
     def regenerate(self) -> "MetricsReport":
         """Rebuild aggregates and bounds from the stored rows; bit-exact."""
         cfg = ExperimentConfig(**self.config)
-        return MetricsReport.from_rows(cfg, self.rows, self.wall_clock_s)
+        return MetricsReport.from_rows(cfg, self.rows)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MetricsReport:
@@ -293,7 +290,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Metrics
         raise ValueError(f"pac mode needs an i.i.d. family environment; "
                          f"{cfg.env!r} is not one")
     check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
-    start = time.perf_counter()
     seeds = list(cfg.seeds)
     if threads > 1 and len(seeds) > 1:
         cfg_dict = asdict(cfg)
@@ -302,8 +298,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Metrics
                                  chunksize=max(1, len(seeds) // (4 * threads))))
     else:
         rows = [run_single_seed(cfg, s) for s in seeds]
-    wall = time.perf_counter() - start
-    return MetricsReport.from_rows(cfg, rows, wall)
+    return MetricsReport.from_rows(cfg, rows)
 
 
 # ---------------------------------------------------------------------------

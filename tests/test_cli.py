@@ -180,6 +180,12 @@ _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
     (_APPJ + ["--T", "10", "--seeds", "2"], "-2", "STRATGAME_THREADS must be"),
     (_APPJ + ["--T", "10", "--seeds", "2", "--threads", "0"], None,
      "threads must be a positive integer"),
+    (["--env", "appJ", "--learner", "survivor:seq-elim", "--n", "8", "--eps", "0.1",
+      "--delta", "0", "--env-eps", "0.02", "--T", "10", "--seeds", "1"], None,
+     "delta must satisfy 0 < delta < 1, got 0.0"),
+    (["--env", "appJ", "--learner", "boost:seq-elim", "--n", "8", "--eps", "0.1",
+      "--delta", "1.5", "--env-eps", "0.02", "--T", "10", "--seeds", "1"], None,
+     "delta must satisfy 0 < delta < 1, got 1.5"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):
@@ -200,6 +206,17 @@ def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+def test_identical_runs_emit_identical_bytes(tmp_path):
+    argv = ["run", "--env", "random-realizable", "--learner", "mwmr", "--n", "8",
+            "--T", "50", "--seeds", "2"]
+    payloads = []
+    for i in range(2):
+        out = tmp_path / f"report{i}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
 
 
 def test_survivor_run_at_zero_horizon(capsys):

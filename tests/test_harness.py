@@ -122,7 +122,7 @@ def test_json_report_round_trips():
     payload = emit_report(report, "json")
     parsed = json.loads(payload)
     assert (json.dumps(parsed, sort_keys=True, indent=2) + "\n").encode() == payload
-    assert parsed["schema_version"] == 2
+    assert parsed["schema_version"] == 3
     assert parsed["config"]["env"] == "random-realizable"
 
 
