@@ -70,7 +70,7 @@ class Setting(Enum):
         member._value_ = value
         member.info_level = info_level
         member.reveals_x_before = info_level == 3
-        member.reveals_x = info_level >= 2  # in the feedback, whenever given before
+        member.reveals_x = info_level >= 2  # in the feedback; x-delta also before choosing
         member.reveals_delta = info_level >= 1
         return member
 
@@ -235,7 +235,7 @@ class Learner:
 
 
 class ConstantLearner(Learner):
-    """Plays one fixed predictor forever (used for validation phases and tests)."""
+    """Plays one fixed predictor forever; tests use it as a stand-in learner."""
 
     name = "constant"
     conservative = True

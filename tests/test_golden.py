@@ -2,7 +2,8 @@
 
 Each case runs one (environment, learner, setting) triple on seeds 0, 1 and 2
 with ``record="full"`` and compares the sha256 of ``Transcript.to_jsonl()``
-and the mistake count with the pinned values.  A change to a random stream
+(one row per round, written from the ``Feedback`` the learner saw) and the
+mistake count with the pinned values.  A change to a random stream
 must re-pin the table on purpose: ``python tests/test_golden.py`` prints it.
 """
 
