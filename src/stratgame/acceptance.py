@@ -13,9 +13,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core.response import strategic_loss
 from .environments import make_environment
-from .harness import ExperimentConfig, monte_carlo_loss, run_experiment
+from .harness import ExperimentConfig, run_experiment
 from .learners import SurvivorConfig, default_union_rounds, make_learner
 from .oracle import exact_loss
 from .protocol import Setting, run_online
@@ -171,17 +170,12 @@ def criterion_8_exact_construction_losses() -> CriterionResult:
 
 
 def criterion_9_property_suite() -> CriterionResult:
-    """Cross-cutting invariants at scale: target survival, halving
-    contraction, union-distance identity, loss/mistake agreement,
-    conservative replay, estimator agreement, informative-round rate."""
+    """The paper's constructions at scale: target survival over 1003 short
+    runs and the informative-round rate of the radius-coded family.  The
+    implementation invariants are checked by the test suite."""
     def check():
         notes = []
         ok = _survival_sweep(notes)
-        ok = _halving_contraction(notes) and ok
-        ok = _distance_to_union_identity(notes) and ok
-        ok = _loss_mistake_agreement(notes) and ok
-        ok = _conservative_replay(notes) and ok
-        ok = _mc_oracle_agreement(notes) and ok
         ok = _informative_round_rate(notes) and ok
         return ok, "; ".join(notes)
 
@@ -233,135 +227,6 @@ def _survival_sweep(notes) -> bool:
     return True
 
 
-def _halving_contraction(notes) -> bool:
-    """Every halving mistake at least halves the version space."""
-    from .protocol import RngStreams, run_round
-
-    checked = 0
-    for seed in range(40):
-        n = 8 << (seed % 3)
-        env = make_environment("random-realizable", n, stream_space="star",
-                               target=n - 1)
-        src = env.source_for_run(seed, 80)
-        lrn = make_learner("halving")
-        streams = RngStreams(seed)
-        lrn.reset(src.hclass, src.space, Setting.X_BEFORE, streams.learner)
-        mistakes = 0
-        for t, agent in enumerate(src.agents, start=1):
-            before = len(lrn.alive_indices)
-            rec = run_round(agent, lrn, Setting.X_BEFORE, src.space,
-                            rng=streams.tie, t=t)
-            if rec.mistake:
-                mistakes += 1
-                if len(lrn.alive_indices) > before // 2:
-                    notes.append(f"contraction violated at seed {seed} round {t}")
-                    return False
-                checked += 1
-        if mistakes > math.ceil(math.log2(n)):
-            notes.append(f"halving exceeded its bound at seed {seed}")
-            return False
-    notes.append(f"halving halved the version space on {checked} mistakes")
-    return True
-
-
-def _distance_to_union_identity(notes) -> bool:
-    """d(x, f or g) equals the minimum of the two distances."""
-    import random as _random
-
-    from .core.geometry import ScaledBasisSpace, StarSpace, basis, matrix_point
-    from .core.predictors import HypothesisClass, distance_to_hypothesis
-
-    rng = _random.Random(0)
-    spaces = [
-        (StarSpace(9), HypothesisClass([matrix_point(i) for i in range(1, 10)])),
-        (ScaledBasisSpace(6), HypothesisClass([basis(i) for i in range(6)])),
-    ]
-    for space, hclass in spaces:
-        pts = space.points
-        for _ in range(2000):
-            x = pts[rng.randrange(len(pts))]
-            f = hclass.union(tuple(rng.sample(range(len(hclass)), 2)))
-            g = hclass.union(tuple(rng.sample(range(len(hclass)), 2)))
-            both = hclass.union(tuple(set(f.parts) | set(g.parts)))
-            lhs = distance_to_hypothesis(space, x, both)
-            rhs = min(distance_to_hypothesis(space, x, f),
-                      distance_to_hypothesis(space, x, g))
-            if abs(lhs - rhs) > 1e-9:
-                notes.append(f"union distance identity failed at {x}")
-                return False
-    notes.append("union-distance identity held on 4000 samples")
-    return True
-
-
-def _loss_mistake_agreement(notes) -> bool:
-    """The 4-case loss equals the protocol-level mistake flag every round.
-
-    Agents are replayed from the run's named agent stream, so the loss is
-    evaluated on exactly the agent each round saw.
-    """
-    import random as _random
-
-    checked = 0
-    for tag, setting in (("appJ", Setting.XD_AFTER), ("appK", Setting.DELTA_ONLY)):
-        env = make_environment(tag, 6, eps=0.02, target=5)
-        learner_name = "mwmr" if tag == "appJ" else "seq-elim"
-        for seed in range(10):
-            lrn = make_learner(learner_name)
-            tr = run_online(env.source_for_run(seed, 300), lrn, setting,
-                            300, seed)
-            rng = _random.Random(f"{seed}:agent")
-            for rec in tr.rounds:
-                agent = env.shared.sample(rng)
-                if bool(strategic_loss(env.space, rec.predictor, agent)) != rec.mistake:
-                    notes.append(f"loss/mistake disagreement {tag} seed {seed} t={rec.t}")
-                    return False
-                checked += 1
-    notes.append(f"loss equalled the mistake flag on {checked} rounds")
-    return True
-
-
-def _conservative_replay(notes) -> bool:
-    """Withholding correct-round feedback leaves flagged learners unchanged."""
-    env = make_environment("random-realizable", 10, stream_space="star",
-                           target=9)
-    for name, setting in (("halving", Setting.X_BEFORE),
-                          ("mwmr", Setting.XD_AFTER),
-                          ("seq-elim", Setting.DELTA_ONLY)):
-        for seed in range(5):
-            seqs = []
-            for withhold in (False, True):
-                lrn = make_learner(name)
-                tr = run_online(env.source_for_run(seed, 120), lrn, setting,
-                                120, seed, withhold_correct=withhold)
-                seqs.append([tuple(r.predictor.parts) for r in tr.rounds])
-            if seqs[0] != seqs[1]:
-                notes.append(f"replay mismatch for {name} at seed {seed}")
-                return False
-    notes.append("conservative replay identity held for 3 learners x 5 seeds")
-    return True
-
-
-def _mc_oracle_agreement(notes) -> bool:
-    """Monte Carlo losses match the exact oracle within 4 standard errors."""
-    N = 100_000
-    checked = 0
-    for tag, n, eps in (("appG", 6, 0.01), ("appI", 6, 0.02),
-                        ("appJ", 6, 0.02), ("appK", 6, 0.05)):
-        env = make_environment(tag, n, eps=eps, target=2)
-        family = env.family
-        for parts in ((0,), (1, 3), (2,), (0, 1, 3, 4)):
-            f = family.hclass.union(parts)
-            exact = float(exact_loss(tag, n, Fraction(eps), 2, f))
-            est, _ = monte_carlo_loss(family.space, f, family, N, seed=checked)
-            slack = 4.0 * math.sqrt(max(exact * (1 - exact), 1e-12) / N)
-            if abs(est - exact) > slack + 1e-12:
-                notes.append(f"MC mismatch {tag}{parts}: {est} vs {exact}")
-                return False
-            checked += 1
-    notes.append(f"MC vs oracle agreed on {checked} pairs")
-    return True
-
-
 def _informative_round_rate(notes) -> bool:
     """With a proper learner on the radius-coded family, rounds that pair a
     sphere draw with its matching singleton occur at rate 3 eps."""
@@ -403,6 +268,9 @@ CRITERIA = [
 
 
 def run_all(only: list | None = None) -> list:
+    unknown = sorted(set(only or ()) - set(range(1, len(CRITERIA) + 1)))
+    if unknown:
+        raise ValueError(f"no criterion {unknown}; criteria are numbered 1 to {len(CRITERIA)}")
     results = []
     for idx, fn in enumerate(CRITERIA, start=1):
         if only and idx not in only:

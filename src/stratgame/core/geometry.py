@@ -323,32 +323,29 @@ def iter_permutations(n: int) -> Iterable[tuple]:
 
 
 def validate_metric(space: MetricSpace, rng: random.Random | None = None) -> None:
-    """Check the metric axioms, raising AssertionError on violation.
+    """Check the metric axioms, raising ValueError on violation.
 
     Exhaustive over all triples for enumerable spaces up to 200 points;
     otherwise 1e5 sampled triples.
     """
     if space.enumerable and space.points is not None and len(space.points) <= EXHAUSTIVE_LIMIT:
         pts = space.points
-        n = len(pts)
-        m = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = space.dist(pts[i], pts[j])
-        assert np.all(np.abs(np.diag(m)) <= TOL), "d(a,a) != 0"
-        assert np.all(np.abs(m - m.T) <= TOL), "asymmetric distance"
-        assert np.all(m >= -TOL), "negative distance"
-        # triangle inequality over all triples at once
-        tri = m[:, :, None] + m[None, :, :]  # d(a,b) + d(b,c)
-        assert np.all(m[:, None, :] <= tri + TOL), "triangle inequality violated"
-        return
-    rng = rng or random.Random(0)
-    for _ in range(SAMPLED_TRIPLES):
-        a = space.sample_point(rng)
-        b = space.sample_point(rng)
-        c = space.sample_point(rng)
-        dab, dba = space.dist(a, b), space.dist(b, a)
-        assert space.dist(a, a) <= TOL
-        assert abs(dab - dba) <= TOL
-        assert dab >= -TOL
-        assert space.dist(a, c) <= dab + space.dist(b, c) + TOL
+        m = np.array([[space.dist(p, q) for q in pts] for p in pts])
+        # d(a,a), d(a,b) - d(b,a), d(a,b) and d(a,c) - d(a,b) - d(b,c) over all triples
+        self_d, asym, d = np.diag(m), m - m.T, m
+        excess = m[:, None, :] - m[:, :, None] - m[None, :, :]
+    else:
+        rng = rng or random.Random(0)
+        rows = []
+        for _ in range(SAMPLED_TRIPLES):
+            a, b, c = (space.sample_point(rng) for _ in range(3))
+            rows.append((space.dist(a, a), space.dist(a, b), space.dist(b, a),
+                         space.dist(a, c), space.dist(b, c)))
+        self_d, dab, dba, dac, dbc = np.array(rows).T
+        asym, d, excess = dab - dba, dab, dac - dab - dbc
+    for ok, message in ((np.abs(self_d) <= TOL, "d(a,a) != 0"),
+                        (np.abs(asym) <= TOL, "asymmetric distance"),
+                        (d >= -TOL, "negative distance"),
+                        (excess <= TOL, "triangle inequality violated")):
+        if not np.all(ok):
+            raise ValueError(message)

@@ -28,7 +28,7 @@ from .core.geometry import (
 from .core.predictors import HypothesisClass
 from .core.response import (Agent, Ball, Explicit, TieBreak, manipulation_type,
                             strategic_loss)
-from .protocol import ContractViolation, LearnerView
+from .protocol import ContractViolation, Exposure, LearnerView
 
 SPOT_CHECK_SAMPLES = 10_000
 _validated: set = set()
@@ -348,6 +348,7 @@ class StarCounterAdversary:
     kind = "adaptive"
     tag = "star-ex42"
     manipulation = Ball
+    needs_exposure = Exposure.DETERMINISTIC
     tie = TieBreak.FIXED_LOWEST
     target = None
 
@@ -400,6 +401,7 @@ class ProbingAdversary:
     kind = "adaptive"
     tag = "appE"
     manipulation = Ball
+    needs_exposure = Exposure.DISTRIBUTION
     tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, target: int | None = None, c: float | None = None,
@@ -543,6 +545,7 @@ class EnvSpec:
         self.space = space
         self.hclass = hclass
         self.shared = shared
+        self.needs_exposure = getattr(shared, "needs_exposure", Exposure.NOTHING)
         self._stream_args = stream_args
 
     @property

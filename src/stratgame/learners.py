@@ -17,7 +17,7 @@ import numpy as np
 
 from .core.geometry import TOL
 from .core.response import Ball
-from .protocol import ContractViolation, Learner, RealizabilityError, Setting
+from .protocol import ContractViolation, Exposure, Learner, RealizabilityError, Setting
 
 
 class _VersionSpaceLearner(Learner):
@@ -110,6 +110,7 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
     name = "mwmr"
     conservative = True
     requires = Setting.XD_AFTER
+    exposes = Exposure.DISTRIBUTION
 
     def choose(self, context):
         chosen = self.alive[self.rng.randrange(len(self.alive))]
@@ -135,6 +136,7 @@ class RandomUnionLearner(_VersionSpaceLearner):
     name = "random-union"
     conservative = False
     requires = Setting.XD_AFTER
+    exposes = Exposure.DISTRIBUTION
 
     def reset(self, hclass, space, setting, rng):
         super().reset(hclass, space, setting, rng)
@@ -147,10 +149,7 @@ class RandomUnionLearner(_VersionSpaceLearner):
         return 1 << rng.randint(0, n_t.bit_length() - 2)
 
     def choose(self, context):
-        rng = self.rng
-        k = self._draw_k(len(self.alive), rng)
-        parts = tuple(rng.choices(self.alive, k=k))
-        self._last_choice = self.hclass.union(parts)
+        self._last_choice = self.sample_predictor(self.rng)
         return self._last_choice
 
     def _shrunk(self):
@@ -186,6 +185,7 @@ class SequentialElimination(Learner):
     name = "seq-elim"
     conservative = True
     requires = Setting.BLIND
+    exposes = Exposure.DETERMINISTIC
 
     def reset(self, hclass, space, setting, rng):
         self.hclass = hclass
@@ -266,6 +266,7 @@ class LongestSurvivor(Learner):
         self.name = f"survivor:{base.name}"
         self.requires = base.requires
         self.manipulation = base.manipulation
+        self.exposes = base.exposes
 
     def reset(self, hclass, space, setting, rng):
         self.base.reset(hclass, space, setting, rng)
@@ -320,6 +321,8 @@ class BoostConfig:
 
     def __post_init__(self):
         _check_accuracy(self.epsilon, self.delta)
+        if self.base_rounds < 1:
+            raise ValueError(f"base_rounds must be at least 1, got {self.base_rounds}")
         if self.outer_rounds <= 0:
             self.outer_rounds = math.ceil(math.log(2.0 / self.delta))
         if self.validation_rounds <= 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from enum import Enum
+from enum import Enum, IntEnum
 
 from .core.geometry import MetricSpace, Point, TOL
 from .core.predictors import Hypothesis, HypothesisClass, predict
@@ -180,6 +180,15 @@ class Transcript:
                          for r in self.rounds)
 
 
+class Exposure(IntEnum):
+    """How much of its next choice a learner shows an adaptive adversary,
+    from least to most."""
+
+    NOTHING = 0
+    DISTRIBUTION = 1  # predictor_distribution, or draws from sample_predictor
+    DETERMINISTIC = 2  # predictor_distribution gives one predictor of mass 1
+
+
 class Learner:
     """Behavioral contract every learning algorithm implements.
 
@@ -187,6 +196,7 @@ class Learner:
     learner may always run in a strictly more informative setting.
     ``manipulation`` is the kind of manipulation set its update rule is valid
     for: ``Ball`` for distance-based elimination, ``ManipulationSet`` for any.
+    ``exposes`` is how much of the next choice the white-box hooks below show.
     The ``conservative`` flag promises that withholding feedback from correct
     rounds leaves the chosen predictor sequence unchanged, which the test
     suite verifies by replay.
@@ -196,6 +206,7 @@ class Learner:
     conservative = False
     requires = Setting.BLIND
     manipulation = ManipulationSet
+    exposes = Exposure.NOTHING
 
     def reset(self, hclass: HypothesisClass, space: MetricSpace,
               setting: Setting, rng: random.Random) -> None:
@@ -240,6 +251,7 @@ class ConstantLearner(Learner):
     name = "constant"
     conservative = True
     requires = Setting.BLIND
+    exposes = Exposure.DETERMINISTIC
 
     def __init__(self, predictor: Hypothesis):
         self.predictor = predictor
@@ -349,8 +361,9 @@ def check_learner(learner: Learner, setting: Setting, source) -> None:
     """Reject a learner that the setting or the source's agents do not suit.
 
     ``source`` declares ``manipulation``, the kind of its agents' sets; an
-    undeclared source counts as mixed.  Raises ContractViolation; called
-    before round 1.
+    undeclared source counts as mixed.  An adaptive adversary also declares
+    ``needs_exposure``, what it must see of the learner's next choice.
+    Raises ContractViolation; called before round 1.
     """
     if setting.info_level < learner.requires.info_level:
         raise ContractViolation(
@@ -362,6 +375,14 @@ def check_learner(learner: Learner, setting: Setting, source) -> None:
         raise ContractViolation(
             f"learner {learner.name!r} needs {need.__name__} manipulation sets; "
             f"the source declares {have.__name__}")
+    need = getattr(source, "needs_exposure", Exposure.NOTHING)
+    if learner.exposes >= need:
+        return
+    if need is Exposure.DETERMINISTIC:
+        raise ContractViolation(f"this adversary needs a deterministic learner; "
+                                f"learner {learner.name!r} is not")
+    raise ContractViolation(f"learner {learner.name!r} exposes neither its next-choice "
+                            f"distribution nor a sampling hook")
 
 
 def _agent_supply(source, learner, streams):

@@ -94,6 +94,19 @@ def test_verify_single_fast_criterion(capsys):
     assert "PASS" in out and "star-counter-exact-mistakes" in out
 
 
+@pytest.mark.parametrize("only", ["12", "0", "3,12"])
+def test_verify_rejects_unknown_criterion_before_any_runs(monkeypatch, capsys, only):
+    from stratgame import acceptance
+
+    def no_run():
+        raise AssertionError("a criterion ran before the --only check")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [no_run] * 9)
+    assert main(["verify", "--only", only]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no criterion") and len(err.splitlines()) == 1
+
+
 def test_unknown_learner_is_reported(capsys):
     code = main(["run", "--env", "star-ex42", "--learner", "sgd",
                  "--setting", "x-delta-after", "--n", "4", "--T", "3",
@@ -186,6 +199,12 @@ _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
     (["--env", "appJ", "--learner", "boost:seq-elim", "--n", "8", "--eps", "0.1",
       "--delta", "1.5", "--env-eps", "0.02", "--T", "10", "--seeds", "1"], None,
      "delta must satisfy 0 < delta < 1, got 1.5"),
+    (["--env", "appJ", "--learner", "boost:seq-elim", "--n", "8", "--eps", "0.1",
+      "--delta", "0.1", "--env-eps", "0.02", "--base-rounds", "-3", "--T", "10",
+      "--seeds", "1"], None, "base_rounds must be at least 1, got -3"),
+    (["--env", "appJ", "--learner", "boost:seq-elim", "--n", "8", "--eps", "0.1",
+      "--delta", "0.1", "--env-eps", "0.02", "--base-rounds", "0", "--T", "10",
+      "--seeds", "1"], None, "base_rounds must be at least 1, got 0"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):

@@ -1,5 +1,8 @@
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,3 +138,27 @@ def test_point_identity_order_is_total():
     assert ordered.index(matrix_point(1)) < ordered.index(matrix_point(3))
     assert ordered.index(basis(0)) < ordered.index(basis(2))
     assert len(set(pts)) == len(pts)
+
+
+_BAD_METRIC = """
+import sys
+from stratgame.core.geometry import MatrixSpace, matrix_point, validate_metric
+
+print("optimize", sys.flags.optimize)
+# d(0,2) = 5 exceeds d(0,1) + d(1,2) = 2
+validate_metric(MatrixSpace([matrix_point(i) for i in range(3)],
+                            [[0, 1, 5], [1, 0, 1], [5, 1, 0]]))
+"""
+
+
+def test_validate_metric_rejects_triangle_violation_under_python_O():
+    bad = MatrixSpace([matrix_point(i) for i in range(3)], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    with pytest.raises(ValueError, match="triangle inequality violated"):
+        validate_metric(bad)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_METRIC],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(src), "PATH": ""})
+    assert proc.stdout.splitlines() == ["optimize 1"]
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ValueError: triangle inequality violated"

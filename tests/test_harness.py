@@ -34,15 +34,20 @@ def test_monte_carlo_wrong_singleton_star_family():
 
 def test_monte_carlo_agrees_with_oracle_on_random_predictors():
     rng = random.Random(2)
-    n, N = 6, 20_000
-    for tag in ("appG", "appJ", "appK"):
-        env = make_environment(tag, n, eps=0.02, target=4)
-        fam = env.family
-        for k in range(16):
-            parts = tuple(rng.choices(range(n), k=rng.randint(1, 3)))
+    n = 6
+    # (tag, eps, target, N, predictors, first Monte Carlo seed)
+    cases = [(tag, 0.02, 4, 20_000, [tuple(rng.choices(range(n), k=rng.randint(1, 3)))
+                                      for _ in range(16)], 0)
+             for tag in ("appG", "appJ", "appK")]
+    cases += [(tag, eps, 2, 100_000, [(0,), (1, 3), (2,), (0, 1, 3, 4)], 4 * i)
+              for i, (tag, eps) in enumerate((("appG", 0.01), ("appI", 0.02),
+                                              ("appJ", 0.02), ("appK", 0.05)))]
+    for tag, eps, target, N, predictors, seed0 in cases:
+        fam = make_environment(tag, n, eps=eps, target=target).family
+        for k, parts in enumerate(predictors):
             f = fam.hclass.union(parts)
-            exact = float(exact_loss(tag, n, Fraction(0.02), 4, f))
-            est, _ = monte_carlo_loss(fam.space, f, fam, N, seed=k)
+            exact = float(exact_loss(tag, n, Fraction(eps), target, f))
+            est, _ = monte_carlo_loss(fam.space, f, fam, N, seed=seed0 + k)
             slack = 4 * math.sqrt(max(exact * (1 - exact), 1e-12) / N)
             assert abs(est - exact) <= slack + 1e-12, (tag, parts)
 
@@ -220,6 +225,11 @@ def test_output_loss_bound_rejected_on_online_run_before_any_seed(monkeypatch, s
     ({"env": "appK", "learner": "boost:random-union", "eps": 0.1, "delta": 0.1,
       "base_rounds": 10}, "needs Ball manipulation sets"),
     ({"learner": "halving", "setting": "x-delta-after"}, "needs setting 'x-delta'"),
+    ({"env": "star-ex42", "learner": "mwmr", "setting": "x-delta-after"},
+     "needs a deterministic learner; learner 'mwmr' is not"),
+    ({"env": "star-ex42", "learner": "halving"},
+     "needs a deterministic learner; learner 'halving' is not"),
+    ({"env": "appE", "learner": "halving"}, "learner 'halving' exposes neither"),
 ])
 def test_learner_contract_checked_before_any_seed(monkeypatch, overrides, message):
     from stratgame import harness

@@ -69,18 +69,22 @@ def test_distance_empty_region_is_infinite(star8):
     assert distance_to_hypothesis(space, matrix_point(0), ALL_NEGATIVE) > 1e308
 
 
-def test_union_distance_identity_sampled(star8):
-    space, hclass = star8
-    rng = random.Random(0)
-    pts = space.points
-    for _ in range(300):
-        f = hclass.union(tuple(rng.sample(range(8), rng.randint(1, 3))))
-        g = hclass.union(tuple(rng.sample(range(8), rng.randint(1, 3))))
-        x = pts[rng.randrange(len(pts))]
-        combined = hclass.union(tuple(set(f.parts) | set(g.parts)))
-        lhs = distance_to_hypothesis(space, x, combined)
-        rhs = min(distance_to_hypothesis(space, x, f), distance_to_hypothesis(space, x, g))
-        assert abs(lhs - rhs) <= 1e-9
+def test_union_distance_identity_sampled():
+    cases = [(StarSpace(8), [matrix_point(i) for i in range(1, 9)], 300),
+             (StarSpace(9), [matrix_point(i) for i in range(1, 10)], 2000),
+             (ScaledBasisSpace(6), [basis(i) for i in range(6)], 2000)]
+    for space, points, samples in cases:
+        hclass = HypothesisClass(points)
+        rng = random.Random(0)
+        pts = space.points
+        for _ in range(samples):
+            f = hclass.union(tuple(rng.sample(range(len(points)), rng.randint(1, 3))))
+            g = hclass.union(tuple(rng.sample(range(len(points)), rng.randint(1, 3))))
+            x = pts[rng.randrange(len(pts))]
+            combined = hclass.union(tuple(set(f.parts) | set(g.parts)))
+            lhs = distance_to_hypothesis(space, x, combined)
+            rhs = min(distance_to_hypothesis(space, x, f), distance_to_hypothesis(space, x, g))
+            assert abs(lhs - rhs) <= 1e-9, (space, x, f.parts, g.parts)
 
 
 def test_class_rejects_duplicates():

@@ -16,6 +16,7 @@ from stratgame.protocol import (
     ContractViolation,
     RealizabilityError,
     RecoveryError,
+    RngStreams,
     Setting,
     build_feedback,
     run_online,
@@ -159,7 +160,6 @@ def test_run_online_matches_manual_round_loop(star5):
     learner = make_learner("mwmr")
     tr = run_online(src, learner, Setting.XD_AFTER, 40, 3)
 
-    from stratgame.protocol import RngStreams
     learner2 = make_learner("mwmr")
     streams = RngStreams(3)
     learner2.reset(src.hclass, src.space, Setting.XD_AFTER, streams.learner)
@@ -202,19 +202,23 @@ def test_full_consistency_check(star5):
 
 def test_conservative_replay_identity():
     # withholding correct-round feedback leaves conservative learners unchanged
-    env = make_environment("random-realizable", 8, stream_space="star")
-    for name, setting in (("halving", Setting.X_BEFORE),
-                          ("mwmr", Setting.XD_AFTER),
-                          ("seq-elim", Setting.DELTA_ONLY)):
-        learner = make_learner(name)
-        assert learner.conservative
-        seqs = []
-        for withhold in (False, True):
-            lrn = make_learner(name)
-            tr = run_online(env.source_for_run(5, 80), lrn, setting, 80, 5,
-                            withhold_correct=withhold)
-            seqs.append([tuple(r.predictor.parts) for r in tr.rounds])
-        assert seqs[0] == seqs[1]
+    cases = [(make_environment("random-realizable", 8, stream_space="star"), [5], 80),
+             (make_environment("random-realizable", 10, stream_space="star",
+                               target=9), range(5), 120)]
+    for env, seeds, T in cases:
+        for name, setting in (("halving", Setting.X_BEFORE),
+                              ("mwmr", Setting.XD_AFTER),
+                              ("seq-elim", Setting.DELTA_ONLY)):
+            learner = make_learner(name)
+            assert learner.conservative
+            for seed in seeds:
+                seqs = []
+                for withhold in (False, True):
+                    lrn = make_learner(name)
+                    tr = run_online(env.source_for_run(seed, T), lrn, setting, T, seed,
+                                    withhold_correct=withhold)
+                    seqs.append([tuple(r.predictor.parts) for r in tr.rounds])
+                assert seqs[0] == seqs[1], (name, seed)
 
 
 def test_survivor_wrapper_is_replay_stable():
@@ -301,10 +305,21 @@ def test_learner_reads_hidden_field_raises(star5):
 
 
 def test_mistake_flag_matches_strategic_loss():
-    env = make_environment("random-realizable", 6, stream_space="scaled-basis")
-    src = env.source_for_run(2, 80)
-    learner = make_learner("mwmr")
-    tr = run_online(src, learner, Setting.XD_AFTER, 80, 2)
-    for t, rec in enumerate(tr.rounds, start=1):
-        agent = src.agents[t - 1]
-        assert rec.mistake == bool(strategic_loss(src.space, rec.predictor, agent))
+    # i.i.d. agents are replayed from the run's agent stream; appK has
+    # explicit sets and uniform-random ties
+    cases = [(make_environment("random-realizable", 6, stream_space="scaled-basis"),
+              "mwmr", Setting.XD_AFTER, [2], 80),
+             (make_environment("appJ", 6, eps=0.02, target=5),
+              "mwmr", Setting.XD_AFTER, range(10), 300),
+             (make_environment("appK", 6, eps=0.02, target=5),
+              "seq-elim", Setting.DELTA_ONLY, range(10), 300)]
+    for env, name, setting, seeds, T in cases:
+        for seed in seeds:
+            src = env.source_for_run(seed, T)
+            tr = run_online(src, make_learner(name), setting, T, seed)
+            rng = RngStreams(seed).agent
+            agents = src.agents if src.kind == "sequence" else [
+                src.sample(rng) for _ in range(T)]
+            assert len(tr.rounds) == T
+            for rec, agent in zip(tr.rounds, agents):
+                assert rec.mistake == bool(strategic_loss(src.space, rec.predictor, agent))
