@@ -330,7 +330,7 @@ def validate_metric(space: MetricSpace, rng: random.Random | None = None) -> Non
     """
     if space.enumerable and space.points is not None and len(space.points) <= EXHAUSTIVE_LIMIT:
         pts = space.points
-        m = np.array([[space.dist(p, q) for q in pts] for p in pts])
+        m = np.array([[space.dist(p, q) for q in pts] for p in pts]).reshape(len(pts), len(pts))
         # d(a,a), d(a,b) - d(b,a), d(a,b) and d(a,c) - d(a,b) - d(b,c) over all triples
         self_d, asym, d = np.diag(m), m - m.T, m
         excess = m[:, None, :] - m[:, :, None] - m[None, :, :]

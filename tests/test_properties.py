@@ -114,7 +114,7 @@ def test_strategic_loss_is_tie_policy_invariant(seed, n):
 
 
 def _examples(cases):
-    """Run a Hypothesis test on these fixed (args) cases besides its drawn ones."""
+    """Add fixed cases, each a tuple of positional arguments, to a Hypothesis test."""
     return lambda test: functools.reduce(lambda t, c: example(*c)(t), cases, test)
 
 
