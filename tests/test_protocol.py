@@ -305,8 +305,8 @@ def test_learner_reads_hidden_field_raises(star5):
 
 
 def test_mistake_flag_matches_strategic_loss():
-    # i.i.d. agents are replayed from the run's agent stream; appK has
-    # explicit sets and uniform-random ties
+    # i.i.d. agents are replayed from the run's agent stream; appK's sets
+    # are explicit
     cases = [(make_environment("random-realizable", 6, stream_space="scaled-basis"),
               "mwmr", Setting.XD_AFTER, [2], 80),
              (make_environment("appJ", 6, eps=0.02, target=5),
