@@ -65,6 +65,14 @@ class _VersionSpaceLearner(Learner):
     def _shrunk(self):
         """Update derived state after the version space shrank."""
 
+    def settled(self):
+        # one member left: no correct round can change the version space
+        return (self.hclass[self.alive[0]], math.inf) if len(self.alive) == 1 else None
+
+    def skip(self, m):
+        self.rounds_seen += m
+        self._last_choice = self.hclass[self.alive[0]]
+
     def finalize(self):
         if self._last_choice is not None:
             return self._last_choice
@@ -117,6 +125,11 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
         self._last_choice = self.hclass.union((chosen,))
         return self._last_choice
 
+    def skip(self, m):
+        super().skip(m)
+        for _ in range(m):
+            self.rng.randrange(1)  # choose's draw, which may read the stream repeatedly
+
     def predictor_distribution(self):
         p = 1.0 / len(self.alive)
         return [(self.hclass.union((i,)), p) for i in self.alive]
@@ -151,6 +164,11 @@ class RandomUnionLearner(_VersionSpaceLearner):
     def choose(self, context):
         self._last_choice = self.sample_predictor(self.rng)
         return self._last_choice
+
+    def skip(self, m):
+        super().skip(m)
+        for _ in range(m):
+            self.rng.random()  # k = 1 takes no draw; choices(alive, k=1) one
 
     def _shrunk(self):
         self._segments.append((self.rounds_seen + 1, tuple(self.alive)))
@@ -208,6 +226,12 @@ class SequentialElimination(Learner):
             if not self.alive:
                 raise RealizabilityError(
                     self.rounds_seen, "all hypotheses discarded; stream is not realizable")
+
+    def settled(self):
+        return self.hclass[self.alive[0]], math.inf
+
+    def skip(self, m):
+        self.rounds_seen += m
 
     def finalize(self):
         return self.hclass.union((self.alive[0],))
@@ -277,16 +301,28 @@ class LongestSurvivor(Learner):
 
     def choose(self, context):
         f = self.base.choose(context)
+        self._played(f, 1)
+        return f
+
+    def _played(self, f, m):
+        """Record that f was played on m consecutive rounds."""
         key = f.key()
-        self._streak = self._streak + 1 if key == self._prev_key else 1
+        self._streak = (self._streak if key == self._prev_key else 0) + m
         self._prev_key = key
         self._last = f
         if self._frozen is None and self._streak >= self.config.threshold:
             self._frozen = f
-        return f
 
     def observe(self, feedback):
         self.base.observe(feedback)
+
+    def settled(self):
+        return self.base.settled()
+
+    def skip(self, m):
+        f = self.base.settled()[0]
+        self.base.skip(m)
+        self._played(f, m)
 
     def finalize(self):
         if self._frozen is not None:
@@ -376,6 +412,23 @@ class BoostLearner(Learner):
         if self._phase == "base":
             return self._base.choose(context)
         return self._candidate  # validating; run_online stops once finished
+
+    def settled(self):
+        if self._phase == "base":
+            settled, left = self._base.settled(), self.config.base_rounds - self._base_count
+        else:
+            settled = (self._candidate, math.inf)
+            left = self.config.validation_rounds - self._val_count
+        if settled is None or left < 2:  # the round that ends a phase is played
+            return None
+        return settled[0], min(settled[1], left - 1)
+
+    def skip(self, m):
+        if self._phase == "base":
+            self._base.skip(m)
+            self._base_count += m
+        else:
+            self._val_count += m
 
     def observe(self, feedback):
         cfg = self.config

@@ -226,6 +226,16 @@ class Learner:
         """PAC learners may declare completion to stop the interaction early."""
         return False
 
+    def settled(self):
+        """``(f, span)`` when the learner will play f on each of its next
+        ``span >= 1`` rounds that bring no mistake, else None."""
+        return None
+
+    def skip(self, m: int) -> None:
+        """Apply m correct rounds played with the settled predictor, as m
+        ``choose``/``observe`` calls would, learner randomness included."""
+        raise NotImplementedError
+
     # white-box hooks for adaptive adversaries
     def predictor_distribution(self):
         """Exact distribution of the next choice as [(predictor, prob), ...], or None."""
@@ -408,12 +418,20 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                record: str = "full", withhold_correct: bool = False) -> Transcript:
     """Run T interaction rounds and return the transcript.
 
-    ``record="counts"`` keeps only the mistake count (for long simulations).
     Every emitted agent is checked for realizability: against the declared
     target, or, when the source declares none, by tracking the set of
     consistent class members.
     ``withhold_correct`` is passed on to every ``run_round``.
+    ``record="counts"`` keeps only the mistake count (for long simulations)
+    and, on non-adaptive sources with a declared target, skips the learner
+    (no choose, observe or feedback) on rounds it is ``settled`` on the
+    target.  A skipped round still draws its agent, checks realizability
+    and, where ``run_round`` would, the target's best response for recovery
+    and the label (``RecoveryError``).  ``record="full"`` and
+    ``withhold_correct`` runs never skip.
     """
+    if record not in ("full", "counts"):
+        raise ValueError(f"record must be 'full' or 'counts', got {record!r}")
     space: MetricSpace = source.space
     hclass: HypothesisClass = source.hclass
     tie = source.tie
@@ -429,6 +447,9 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     target = None if source.target is None else hclass[source.target]
     consistent = list(range(len(hclass))) if target is None else None
     tie_rng = streams.tie
+    may_skip = not (full or withhold_correct or target is None
+                    or getattr(source, "kind", None) == "adaptive")
+    skipping = 0  # rounds left in the current skip
 
     for t in range(1, T + 1):
         agent = next_agent(t)
@@ -439,6 +460,20 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                           if strategic_loss(space, hclass[i], agent) == 0]
             if not consistent:
                 raise RealizabilityError(t, "no class member is consistent with the stream")
+        if may_skip and not skipping:
+            settled = learner.settled()
+            if settled is not None and settled[0] == target:
+                skipping = min(settled[1], T - t + 1)
+                learner.skip(skipping)
+        if skipping:
+            skipping -= 1
+            if setting.reveals_x and isinstance(agent.u, Ball):
+                delta = best_response(space, agent, target, tie, tie_rng)
+                y_hat = predict(target, delta)
+                _check_recovery(space, agent, target, delta, y_hat, t)
+                if y_hat != agent.y:
+                    raise RecoveryError(t, "the declared target mispredicts the label")
+            continue
         fb = run_round(agent, learner, setting, space, tie, tie_rng, t, withhold_correct)
         if fb.mistake:
             transcript.mistakes += 1

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from stratgame.core.geometry import MatrixSpace, StarSpace, matrix_point, validate_metric
@@ -21,6 +22,7 @@ from stratgame.protocol import (
     ConstantLearner,
     ContractViolation,
     Feedback,
+    Learner,
     RealizabilityError,
     Setting,
     run_online,
@@ -521,3 +523,61 @@ def test_seed_row_does_not_depend_on_a_warm_index(monkeypatch, cfg):
     env = harness._environment(cfg)
     assert env.hclass.distance_index(env.space)._cache_rows  # warmed by seeds 0-2
     assert run_single_seed(cfg, 3) == cold
+
+
+def _state(obj):
+    """A learner's state as comparable values: rngs by their state, nested
+    learners and config tuples field by field."""
+    if isinstance(obj, random.Random):
+        return obj.getstate()
+    if isinstance(obj, Learner):
+        return {k: _state(v) for k, v in vars(obj).items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_state(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("name", ["halving", "mwmr", "random-union", "seq-elim",
+                                  "survivor:halving", "survivor:mwmr", "survivor:seq-elim",
+                                  "boost:mwmr", "boost:random-union", "boost:seq-elim"])
+def test_skip_matches_correct_rounds(name):
+    # skip(m) must leave the state that m correct rounds on the settled
+    # predictor leave; skips come in chunks of 1-4 rounds, so survivor streaks
+    # and boost phase ends fall inside and between them
+    if name.endswith("halving"):
+        env = make_environment("random-realizable", 6, stream_space="star", target=5)
+        setting = Setting.X_BEFORE
+    else:
+        env = make_environment("appJ", 6, eps=0.05, target=5)
+        setting = Setting.XD_AFTER
+    src = env.source_for_run(1, 2000)
+    space, target = src.space, src.hclass[src.target]
+    agent_rng = random.Random(2)
+    agents = iter(src.agents) if src.kind == "sequence" else iter(
+        lambda: src.sample(agent_rng), None)
+    skipper, player = (_reset(make_learner(name, n=6, epsilon=0.1, delta=0.2,
+                                           base_rounds=150), src.hclass, space, setting)
+                       for _ in range(2))
+    skipped = 0
+    for t in range(1, 600):
+        settled = skipper.settled()
+        if settled is not None and settled[0] == target:
+            assert settled[1] >= 1
+            m = min(settled[1], 1 + t % 4)
+            skipper.skip(m)
+            for _ in range(m):
+                fb = run_round(next(agents), player, setting, space, t=t)
+                assert fb.predictor == target and not fb.mistake
+            skipped += m
+        else:
+            agent = next(agents)
+            for lrn in (skipper, player):
+                run_round(agent, lrn, setting, space, t=t)
+        assert _state(skipper) == _state(player), t
+        if skipper.finished:
+            break
+    assert skipped > 0
+    assert _state(skipper.finalize()) == _state(player.finalize())
+    assert _state(skipper) == _state(player)

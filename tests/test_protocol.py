@@ -323,3 +323,192 @@ def test_mistake_flag_matches_strategic_loss():
             assert len(tr.rounds) == T
             for rec, agent in zip(tr.rounds, agents):
                 assert rec.mistake == bool(strategic_loss(src.space, rec.predictor, agent))
+
+
+def test_run_online_rejects_unknown_record():
+    env = make_environment("random-realizable", 5, stream_space="star")
+    with pytest.raises(ValueError, match="'full' or 'counts'"):
+        run_online(env.source_for_run(0, 5), make_learner("seq-elim"), Setting.BLIND,
+                   5, 0, record="count")
+
+
+def _collapse_then(star5, later):
+    """Halving on star5 with target 4 (spoke 5): round 1 collapses the version
+    space to the target, rounds 2-4 are correct, round 5 is ``later``."""
+    from stratgame.environments import SequenceSource
+
+    space, hclass = star5
+    agents = [Agent(matrix_point(5), Ball(0.0), 1)]  # halving plays spoke 2 and errs
+    agents += [Agent(matrix_point(0), Ball(1.0), 1)] * 3 + [later]
+    learner = make_learner("halving")
+    chosen = []
+    choose = learner.choose
+    learner.choose = lambda context: chosen.append(context) or choose(context)
+    return SequenceSource(space, hclass, 4, agents), learner, chosen
+
+
+@pytest.mark.parametrize("record", ["full", "counts"])
+def test_skipped_rounds_keep_the_realizability_check(star5, record):
+    bad = Agent(matrix_point(5), Ball(0.0), -1)  # the target predicts +1 at x
+    src, learner, chosen = _collapse_then(star5, bad)
+    with pytest.raises(RealizabilityError, match="round 5: declared target") as err:
+        run_online(src, learner, Setting.X_BEFORE, 5, 0, record=record)
+    assert err.value.round_index == 5
+    assert len(chosen) == (4 if record == "full" else 1)
+
+
+@pytest.mark.parametrize("record", ["full", "counts"])
+def test_skipped_rounds_keep_the_recovery_check(monkeypatch, star5, record):
+    from stratgame import protocol
+
+    special = Agent(matrix_point(0), Ball(0.0), -1)
+    src, learner, chosen = _collapse_then(star5, special)
+    real = protocol.best_response
+    monkeypatch.setattr(protocol, "best_response", lambda space, agent, *rest: (
+        matrix_point(1) if agent is special else real(space, agent, *rest)))
+    with pytest.raises(RecoveryError, match="round 5: predicted negative") as err:
+        run_online(src, learner, Setting.X_BEFORE, 5, 0, record=record)
+    assert err.value.round_index == 5
+    assert len(chosen) == (5 if record == "full" else 1)
+
+
+def test_skipped_rounds_check_the_label(monkeypatch, star5):
+    # a response that wrongly stays put makes the target err: the learner
+    # rejects the mistake in full runs, the skipped round's label check in
+    # counts runs
+    from stratgame import protocol
+
+    special = Agent(matrix_point(0), Ball(1.0), 1)
+    real = protocol.best_response
+    monkeypatch.setattr(protocol, "best_response", lambda space, agent, *rest: (
+        agent.x if agent is special else real(space, agent, *rest)))
+    for record, error, message in (("full", RealizabilityError, "version space emptied"),
+                                   ("counts", RecoveryError, "target mispredicts")):
+        src, learner, _ = _collapse_then(star5, special)
+        with pytest.raises(error, match=f"round 5: .*{message}"):
+            run_online(src, learner, Setting.X_BEFORE, 5, 0, record=record)
+
+
+def test_settled_is_asked_only_where_rounds_may_be_skipped():
+    def never():
+        raise AssertionError("settled() asked")
+
+    appj = make_environment("appJ", 6, eps=0.02, target=5)
+    cases = [(make_environment("appE", 6), "mwmr", "counts", False),
+             (make_environment("star-ex42", 6), "seq-elim", "counts", False),
+             (appj, "mwmr", "full", False),
+             (appj, "mwmr", "counts", True)]
+    for env, name, record, withhold in cases:
+        learner = make_learner(name)
+        learner.settled = never
+        run_online(env.source_for_run(0, 200), learner, Setting.XD_AFTER, 200, 0,
+                   record=record, withhold_correct=withhold)
+
+
+def test_explicit_set_ties_draw_from_the_tie_stream():
+    # appK breaks ties uniformly at random; a union that an agent's explicit
+    # set meets in two or more points draws the response from the tie stream
+    env = make_environment("appK", 6, eps=0.05, target=5)
+    src = env.source_for_run(0, 150)
+    f = env.hclass.union((0, 1, 2))
+    ties = 0
+    for seed in range(3):
+        tr = run_online(src, ConstantLearner(f), Setting.DELTA_ONLY, 150, seed)
+        streams = RngStreams(seed)
+        for rec in tr.rounds:
+            agent = src.sample(streams.agent)
+            cand = sorted(agent.u.members & f.positive)
+            if len(cand) >= 2:
+                ties += 1
+                assert rec.delta == cand[streams.tie.randrange(len(cand))]
+            else:
+                assert rec.delta == (cand[0] if cand else agent.x)
+    assert ties >= 1
+
+
+def _acceptance_configs(monkeypatch):
+    """The configurations of criteria 1-7, as the criteria build them."""
+    from stratgame import acceptance
+
+    cfgs = []
+    monkeypatch.setattr(acceptance, "_report_check",
+                        lambda cfg: cfgs.append(cfg) or (True, ""))
+    for criterion in acceptance.CRITERIA[:7]:
+        criterion()
+    return cfgs
+
+
+def _full_and_counts(monkeypatch, source, make, setting, T, seed):
+    """Per record mode: mistakes, rounds, output parts and the rng states
+    after finalize; plus the number of rounds the counts run played."""
+    from stratgame import protocol
+
+    made, played = [], [0]
+    real_round = protocol.run_round
+
+    class Recorded(RngStreams):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    def counted(*args):
+        played[0] += 1
+        return real_round(*args)
+
+    monkeypatch.setattr(protocol, "RngStreams", Recorded)
+    monkeypatch.setattr(protocol, "run_round", counted)
+    out = []
+    for record in ("full", "counts"):
+        learner = make()
+        played[0] = 0
+        tr = run_online(source, learner, setting, T, seed, record=record)
+        parts = learner.finalize().parts
+        s = made[-1]
+        out.append((tr.mistakes, tr.T, parts, s.learner.getstate(), s.tie.getstate(),
+                    s.agent.getstate()))
+    return out[0], out[1], played[0]
+
+
+def test_counts_runs_match_full_runs_on_acceptance_configs(monkeypatch):
+    from stratgame import harness
+
+    checked = 0
+    for cfg in _acceptance_configs(monkeypatch):
+        env = harness._environment(cfg)
+        if getattr(env.shared, "kind", None) == "adaptive":
+            continue
+        for seed in cfg.seeds[:1 if cfg.T > 50_000 else 3]:
+            full, counts, played = _full_and_counts(
+                monkeypatch, env.source_for_run(seed, cfg.T),
+                lambda: harness._learner(cfg, len(env.hclass)),
+                Setting.from_name(cfg.setting), cfg.T, seed)
+            assert full == counts, (cfg.env, cfg.learner, seed)
+            assert played < full[1], (cfg.env, cfg.learner, seed)  # rounds were skipped
+        checked += 1
+    assert checked == 5  # criteria 1, 2 (stream half), 5, 6 and 7
+
+
+_WRAPPED = ["survivor:mwmr", "survivor:seq-elim", "boost:mwmr", "boost:random-union",
+            "boost:seq-elim"]
+
+
+_BASES = ["mwmr", "random-union", "seq-elim"]
+_FAMILY_EPS = {"appG": 0.04, "appI": 0.05, "appJ": 0.02, "appK": 0.05}
+
+
+# appK's explicit sets admit only seq-elim and its wrappers
+@pytest.mark.parametrize("env_name,name", [
+    (env_name, name) for env_name in _FAMILY_EPS for name in _BASES + _WRAPPED
+    if env_name != "appK" or name.endswith("seq-elim")])
+def test_counts_runs_match_full_runs_on_the_families(monkeypatch, env_name, name):
+    env = make_environment(env_name, 6, eps=_FAMILY_EPS[env_name], target=5)
+    setting = Setting.DELTA_ONLY if env_name == "appK" else Setting.XD_AFTER
+    skipped = 0
+    for seed in range(3):
+        full, counts, played = _full_and_counts(
+            monkeypatch, env.source_for_run(seed, 900),
+            lambda: make_learner(name, n=6, epsilon=0.1, delta=0.2, base_rounds=300),
+            setting, 900, seed)
+        assert full == counts, seed
+        skipped += full[1] - played
+    assert skipped > 0
