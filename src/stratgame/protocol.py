@@ -13,7 +13,7 @@ context and feedback reveal:
 
 The true label and the prediction are delivered in every setting.  The
 feedback is the round's only record: a transcript is the sequence of
-feedback the learner saw.
+feedback the learner saw or, on a skipped round, would have seen.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ class RngStreams:
 def _check_recovery(space, agent, f, delta, y_hat, t):
     # With x in hand, the manipulated feature of a ball agent is recoverable
     # from y_hat alone: the closest positive point if predicted positive, x
-    # itself otherwise.
+    # itself otherwise.  A missed positive must also have f out of reach.
     x = agent.x
     if y_hat == 1:
         dist = space.dist
@@ -344,26 +344,29 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
     elif delta != x:
         raise RecoveryError(t, f"predicted negative but the agent moved from {x!r} "
                                f"to {delta!r}")
+    elif agent.y == 1 and any(space.dist(x, p) <= agent.u.radius + TOL
+                              for p in f.positive):
+        raise RecoveryError(t, f"predicted negative but a positive point is within "
+                               f"reach of {x!r}")
 
 
-def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpace,
-              tie: TieBreak = TieBreak.FIXED_LOWEST,
-              rng: random.Random | None = None, t: int = 1,
-              withhold_correct: bool = False) -> Feedback:
-    """Execute one protocol round and return the feedback the learner saw.
-
-    ``withhold_correct`` suppresses feedback on correct rounds; used by the
-    conservative-learner replay test.
-    """
-    context = agent.x if setting.reveals_x_before else None
-    f = learner.choose(context)
+def _respond(space, agent, f, setting, tie, rng, t):
+    """Best response to f and f's prediction; checks recovery on ball rounds revealing x."""
     delta = best_response(space, agent, f, tie, rng)
     y_hat = predict(f, delta)
     if setting.reveals_x and isinstance(agent.u, Ball):
         _check_recovery(space, agent, f, delta, y_hat, t)
+    return delta, y_hat
+
+
+def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpace,
+              tie: TieBreak = TieBreak.FIXED_LOWEST,
+              rng: random.Random | None = None, t: int = 1) -> Feedback:
+    """Play one round: choose, respond, observe; return the feedback observed."""
+    f = learner.choose(agent.x if setting.reveals_x_before else None)
+    delta, y_hat = _respond(space, agent, f, setting, tie, rng, t)
     feedback = build_feedback(setting, t, f, agent, delta, y_hat)
-    if not (withhold_correct and y_hat == agent.y):
-        learner.observe(feedback)
+    learner.observe(feedback)
     return feedback
 
 
@@ -415,20 +418,18 @@ def _agent_supply(source, learner, streams):
 
 
 def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
-               record: str = "full", withhold_correct: bool = False) -> Transcript:
+               record: str = "full") -> Transcript:
     """Run T interaction rounds and return the transcript.
 
     Every emitted agent is checked for realizability: against the declared
     target, or, when the source declares none, by tracking the set of
-    consistent class members.
-    ``withhold_correct`` is passed on to every ``run_round``.
-    ``record="counts"`` keeps only the mistake count (for long simulations)
-    and, on non-adaptive sources with a declared target, skips the learner
-    (no choose, observe or feedback) on rounds it is ``settled`` on the
-    target.  A skipped round still draws its agent, checks realizability
-    and, where ``run_round`` would, the target's best response for recovery
-    and the label (``RecoveryError``).  ``record="full"`` and
-    ``withhold_correct`` runs never skip.
+    consistent class members.  On a non-adaptive source with a declared
+    target, rounds on which the learner is ``settled`` on the target are
+    skipped: ``skip(m)`` replaces m ``choose``/``observe`` calls, and each
+    skipped round runs the played round's response step on the settled
+    predictor, then checks that it predicts the label (``RecoveryError``).
+    ``record`` decides only what is kept: every round's ``Feedback``
+    ("full") or the mistake count ("counts").
     """
     if record not in ("full", "counts"):
         raise ValueError(f"record must be 'full' or 'counts', got {record!r}")
@@ -447,9 +448,8 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     target = None if source.target is None else hclass[source.target]
     consistent = list(range(len(hclass))) if target is None else None
     tie_rng = streams.tie
-    may_skip = not (full or withhold_correct or target is None
-                    or getattr(source, "kind", None) == "adaptive")
-    skipping = 0  # rounds left in the current skip
+    may_skip = target is not None and getattr(source, "kind", None) != "adaptive"
+    skipping = 0  # rounds left in the current skip, played with f
 
     for t in range(1, T + 1):
         agent = next_agent(t)
@@ -463,18 +463,17 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
         if may_skip and not skipping:
             settled = learner.settled()
             if settled is not None and settled[0] == target:
-                skipping = min(settled[1], T - t + 1)
+                f, skipping = settled[0], min(settled[1], T - t + 1)
                 learner.skip(skipping)
         if skipping:
             skipping -= 1
-            if setting.reveals_x and isinstance(agent.u, Ball):
-                delta = best_response(space, agent, target, tie, tie_rng)
-                y_hat = predict(target, delta)
-                _check_recovery(space, agent, target, delta, y_hat, t)
-                if y_hat != agent.y:
-                    raise RecoveryError(t, "the declared target mispredicts the label")
+            delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t)
+            if y_hat != agent.y:
+                raise RecoveryError(t, "the declared target mispredicts the label")
+            if full:
+                transcript.rounds.append(build_feedback(setting, t, f, agent, delta, y_hat))
             continue
-        fb = run_round(agent, learner, setting, space, tie, tie_rng, t, withhold_correct)
+        fb = run_round(agent, learner, setting, space, tie, tie_rng, t)
         if fb.mistake:
             transcript.mistakes += 1
         if full:

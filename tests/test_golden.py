@@ -2,9 +2,15 @@
 
 Each case runs one (environment, learner, setting) triple on seeds 0, 1 and 2
 with ``record="full"`` and compares the sha256 of ``Transcript.to_jsonl()``
-(one row per round, written from the ``Feedback`` the learner saw) and the
+(one row per round, written from the round's ``Feedback``) and the
 mistake count with the pinned values.  A change to a random stream
 must re-pin the table on purpose: ``python tests/test_golden.py`` prints it.
+
+Full runs skip the learner on rounds where it is settled on the target, as
+counts runs do, so the hashes pin skipped rounds too.
+``test_every_non_adaptive_environment_skips`` keeps it that way: each
+environment with a declared target has a case and seed that skips, so a
+change that stops the skip fails there and not silently.
 """
 
 import hashlib
@@ -56,13 +62,22 @@ CASES = (
 _envs: dict = {}
 
 
-def _run(env_key: str, learner_name: str, setting: str, seed: int) -> tuple:
-    name, kwargs, T = ENVIRONMENTS[env_key]
+def _env(env_key: str):
     env = _envs.get(env_key)
     if env is None:
+        name, kwargs, _ = ENVIRONMENTS[env_key]
         env = _envs[env_key] = make_environment(name, **kwargs)
+    return env
+
+
+def _run(env_key: str, learner_name: str, setting: str, seed: int,
+         skips: list | None = None) -> tuple:
+    env, T = _env(env_key), ENVIRONMENTS[env_key][2]
     learner = make_learner(learner_name, n=len(env.hclass), epsilon=0.1, delta=0.2,
                            base_rounds=40)
+    if skips is not None:
+        skip = learner.skip
+        learner.skip = lambda m: skips.append(m) or skip(m)
     tr = run_online(env.source_for_run(seed, T), learner, Setting.from_name(setting),
                     T, seed, record="full")
     return tr.mistakes, hashlib.sha256(tr.to_jsonl().encode()).hexdigest()
@@ -261,6 +276,20 @@ GOLDEN = {
 def test_transcripts_match_pins(env_key, learner_name, setting):
     got = {seed: _run(env_key, learner_name, setting, seed) for seed in SEEDS}
     assert got == GOLDEN[(env_key, learner_name, setting)]
+
+
+def test_every_non_adaptive_environment_skips():
+    non_adaptive = [key for key in ENVIRONMENTS
+                    if _env(key).source_for_run(0, 1).kind != "adaptive"]
+    assert non_adaptive == ["stream-star", "stream-basis", "stream-sphere",
+                            "appG", "appI", "appJ", "appK"]
+    for key in non_adaptive:
+        skips = []
+        for case in CASES:
+            if case[0] == key:
+                for seed in SEEDS:
+                    _run(*case, seed, skips=skips)
+        assert skips, key
 
 
 if __name__ == "__main__":

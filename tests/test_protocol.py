@@ -14,6 +14,7 @@ from stratgame.learners import make_learner
 from stratgame.protocol import (
     ConstantLearner,
     ContractViolation,
+    Learner,
     RealizabilityError,
     RecoveryError,
     RngStreams,
@@ -200,6 +201,24 @@ def test_full_consistency_check(star5):
         run_online(src, make_learner("seq-elim"), Setting.BLIND, 2, 0)
 
 
+class _Withholding(Learner):
+    """Passes the base learner only the feedback of mistake rounds."""
+
+    def __init__(self, base):
+        self.base = base
+        self.requires, self.manipulation = base.requires, base.manipulation
+
+    def reset(self, hclass, space, setting, rng):
+        self.base.reset(hclass, space, setting, rng)
+
+    def choose(self, context):
+        return self.base.choose(context)
+
+    def observe(self, feedback):
+        if feedback.mistake:
+            self.base.observe(feedback)
+
+
 def test_conservative_replay_identity():
     # withholding correct-round feedback leaves conservative learners unchanged
     cases = [(make_environment("random-realizable", 8, stream_space="star"), [5], 80),
@@ -213,10 +232,8 @@ def test_conservative_replay_identity():
             assert learner.conservative
             for seed in seeds:
                 seqs = []
-                for withhold in (False, True):
-                    lrn = make_learner(name)
-                    tr = run_online(env.source_for_run(seed, T), lrn, setting, T, seed,
-                                    withhold_correct=withhold)
+                for lrn in (make_learner(name), _Withholding(make_learner(name))):
+                    tr = run_online(env.source_for_run(seed, T), lrn, setting, T, seed)
                     seqs.append([tuple(r.predictor.parts) for r in tr.rounds])
                 assert seqs[0] == seqs[1], (name, seed)
 
@@ -226,8 +243,9 @@ def test_survivor_wrapper_is_replay_stable():
     seqs = []
     for withhold in (False, True):
         lrn = make_learner("survivor:seq-elim", n=6, epsilon=0.2, delta=0.1)
-        tr = run_online(env.source_for_run(2, 120), lrn, Setting.DELTA_ONLY,
-                        120, 2, withhold_correct=withhold)
+        if withhold:
+            lrn = _Withholding(lrn)
+        tr = run_online(env.source_for_run(2, 120), lrn, Setting.DELTA_ONLY, 120, 2)
         seqs.append([tuple(r.predictor.parts) for r in tr.rounds])
     assert seqs[0] == seqs[1]
 
@@ -253,6 +271,8 @@ def test_recovery_identity_holds_on_ball_runs(star5):
     (Agent(matrix_point(0), Ball(0.0), -1), (2,), matrix_point(1), "predicted negative"),
     # already positive at spoke 2, yet presented at spoke 1, farther away
     (Agent(matrix_point(2), Ball(2.0), 1), (0, 1), matrix_point(1), "farther"),
+    # a positive that stays at the hub although spoke 1 is within reach
+    (Agent(matrix_point(0), Ball(1.0), 1), (0,), matrix_point(0), "within reach"),
 ])
 def test_broken_best_response_raises_recovery_error(monkeypatch, star5, agent,
                                                     parts, wrong, message):
@@ -354,7 +374,7 @@ def test_skipped_rounds_keep_the_realizability_check(star5, record):
     with pytest.raises(RealizabilityError, match="round 5: declared target") as err:
         run_online(src, learner, Setting.X_BEFORE, 5, 0, record=record)
     assert err.value.round_index == 5
-    assert len(chosen) == (4 if record == "full" else 1)
+    assert len(chosen) == 1
 
 
 @pytest.mark.parametrize("record", ["full", "counts"])
@@ -369,40 +389,60 @@ def test_skipped_rounds_keep_the_recovery_check(monkeypatch, star5, record):
     with pytest.raises(RecoveryError, match="round 5: predicted negative") as err:
         run_online(src, learner, Setting.X_BEFORE, 5, 0, record=record)
     assert err.value.round_index == 5
-    assert len(chosen) == (5 if record == "full" else 1)
+    assert len(chosen) == 1
 
 
 def test_skipped_rounds_check_the_label(monkeypatch, star5):
-    # a response that wrongly stays put makes the target err: the learner
-    # rejects the mistake in full runs, the skipped round's label check in
-    # counts runs
+    # a response that wrongly stays put makes the target err; with x revealed
+    # the recovery check sees that the target was within reach
     from stratgame import protocol
 
     special = Agent(matrix_point(0), Ball(1.0), 1)
     real = protocol.best_response
     monkeypatch.setattr(protocol, "best_response", lambda space, agent, *rest: (
         agent.x if agent is special else real(space, agent, *rest)))
-    for record, error, message in (("full", RealizabilityError, "version space emptied"),
-                                   ("counts", RecoveryError, "target mispredicts")):
-        src, learner, _ = _collapse_then(star5, special)
-        with pytest.raises(error, match=f"round 5: .*{message}"):
+    for record in ("full", "counts"):
+        src, learner, chosen = _collapse_then(star5, special)
+        with pytest.raises(RecoveryError, match="round 5: .*within reach"):
             run_online(src, learner, Setting.X_BEFORE, 5, 0, record=record)
+        assert len(chosen) == 1
+
+
+@pytest.mark.parametrize("record", ["full", "counts"])
+@pytest.mark.parametrize("setting,skip,message", [
+    (Setting.XD_AFTER, True, "within reach"),
+    (Setting.XD_AFTER, False, "within reach"),  # played rounds check reach too
+    (Setting.DELTA_ONLY, True, "target mispredicts"),  # x hidden: the label check
+    (Setting.BLIND, True, "target mispredicts")])
+def test_a_positive_kept_out_of_reach_is_caught(monkeypatch, star5, record, setting,
+                                                 skip, message):
+    # seq-elim plays the target, spoke 1, from round 1; the hub positive with
+    # radius 1 reaches it, but the response leaves it at the hub
+    from stratgame import protocol
+    from stratgame.environments import SequenceSource
+
+    space, hclass = star5
+    src = SequenceSource(space, hclass, 0, [Agent(matrix_point(0), Ball(1.0), 1)])
+    monkeypatch.setattr(protocol, "best_response", lambda space, agent, *rest: agent.x)
+    learner = make_learner("seq-elim")
+    if not skip:
+        learner.settled = lambda: None
+    with pytest.raises(RecoveryError, match=f"round 1: .*{message}"):
+        run_online(src, learner, setting, 1, 0, record=record)
+    assert learner.alive == [0, 1, 2, 3, 4]
 
 
 def test_settled_is_asked_only_where_rounds_may_be_skipped():
     def never():
         raise AssertionError("settled() asked")
 
-    appj = make_environment("appJ", 6, eps=0.02, target=5)
-    cases = [(make_environment("appE", 6), "mwmr", "counts", False),
-             (make_environment("star-ex42", 6), "seq-elim", "counts", False),
-             (appj, "mwmr", "full", False),
-             (appj, "mwmr", "counts", True)]
-    for env, name, record, withhold in cases:
-        learner = make_learner(name)
-        learner.settled = never
-        run_online(env.source_for_run(0, 200), learner, Setting.XD_AFTER, 200, 0,
-                   record=record, withhold_correct=withhold)
+    for env, name in ((make_environment("appE", 6), "mwmr"),
+                      (make_environment("star-ex42", 6), "seq-elim")):
+        for record in ("full", "counts"):
+            learner = make_learner(name)
+            learner.settled = never
+            run_online(env.source_for_run(0, 200), learner, Setting.XD_AFTER, 200, 0,
+                       record=record)
 
 
 def test_explicit_set_ties_draw_from_the_tie_stream():
@@ -438,9 +478,11 @@ def _acceptance_configs(monkeypatch):
     return cfgs
 
 
-def _full_and_counts(monkeypatch, source, make, setting, T, seed):
-    """Per record mode: mistakes, rounds, output parts and the rng states
-    after finalize; plus the number of rounds the counts run played."""
+def _skipped_rounds(monkeypatch, source, make, setting, T, seed):
+    """Run the learner free to skip, in both record modes, and with
+    ``settled`` overridden to return None; check that the three runs agree
+    on rows, mistakes, rounds, output parts and the rng states after
+    finalize, and return how many rounds the skipping runs skipped."""
     from stratgame import protocol
 
     made, played = [], [0]
@@ -457,16 +499,23 @@ def _full_and_counts(monkeypatch, source, make, setting, T, seed):
 
     monkeypatch.setattr(protocol, "RngStreams", Recorded)
     monkeypatch.setattr(protocol, "run_round", counted)
-    out = []
-    for record in ("full", "counts"):
+    out, rounds = [], []
+    for record, skip in (("full", True), ("counts", True), ("full", False)):
         learner = make()
+        if not skip:
+            learner.settled = lambda: None
         played[0] = 0
         tr = run_online(source, learner, setting, T, seed, record=record)
         parts = learner.finalize().parts
         s = made[-1]
         out.append((tr.mistakes, tr.T, parts, s.learner.getstate(), s.tie.getstate(),
-                    s.agent.getstate()))
-    return out[0], out[1], played[0]
+                    s.agent.getstate(), tr.to_jsonl() if record == "full" else None))
+        rounds.append(played[0])
+    full, counts, playing = out
+    assert full == playing
+    assert counts[:-1] == playing[:-1]
+    assert rounds[0] == rounds[1] <= rounds[2] == playing[1]
+    return rounds[2] - rounds[0]
 
 
 def test_counts_runs_match_full_runs_on_acceptance_configs(monkeypatch):
@@ -478,12 +527,11 @@ def test_counts_runs_match_full_runs_on_acceptance_configs(monkeypatch):
         if getattr(env.shared, "kind", None) == "adaptive":
             continue
         for seed in cfg.seeds[:1 if cfg.T > 50_000 else 3]:
-            full, counts, played = _full_and_counts(
+            skipped = _skipped_rounds(
                 monkeypatch, env.source_for_run(seed, cfg.T),
                 lambda: harness._learner(cfg, len(env.hclass)),
                 Setting.from_name(cfg.setting), cfg.T, seed)
-            assert full == counts, (cfg.env, cfg.learner, seed)
-            assert played < full[1], (cfg.env, cfg.learner, seed)  # rounds were skipped
+            assert skipped > 0, (cfg.env, cfg.learner, seed)
         checked += 1
     assert checked == 5  # criteria 1, 2 (stream half), 5, 6 and 7
 
@@ -505,10 +553,8 @@ def test_counts_runs_match_full_runs_on_the_families(monkeypatch, env_name, name
     setting = Setting.DELTA_ONLY if env_name == "appK" else Setting.XD_AFTER
     skipped = 0
     for seed in range(3):
-        full, counts, played = _full_and_counts(
+        skipped += _skipped_rounds(
             monkeypatch, env.source_for_run(seed, 900),
             lambda: make_learner(name, n=6, epsilon=0.1, delta=0.2, base_rounds=300),
             setting, 900, seed)
-        assert full == counts, seed
-        skipped += full[1] - played
     assert skipped > 0
