@@ -61,6 +61,32 @@ def perm_point(values: Sequence[int]) -> Point:
     return ("perm", tuple(values))
 
 
+_SHUFFLE_STEPS: dict = {}
+
+
+def shuffled_range(rng: random.Random, n: int) -> list:
+    """``list(range(n))`` permuted exactly as ``rng.shuffle`` permutes it.
+
+    Replays CPython's ``shuffle`` with ``_randbelow_with_getrandbits``: the
+    same ``getrandbits(k)`` draws and the same rejection rule, so the result
+    and the rng state afterwards are those of ``rng.shuffle``, without its
+    per-draw method lookups.  A test compares the two for n = 2..64.
+    """
+    steps = _SHUFFLE_STEPS.get(n)
+    if steps is None:
+        # swap position i with a draw below m = i + 1, of m.bit_length() bits
+        steps = _SHUFFLE_STEPS[n] = tuple(
+            (i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+    vals = list(range(n))
+    getrandbits = rng.getrandbits
+    for i, m, k in steps:
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        vals[i], vals[j] = vals[j], vals[i]
+    return vals
+
+
 class MetricSpace:
     """A point universe with a distance oracle.
 
@@ -300,9 +326,7 @@ class PermutationSphereSpace(MetricSpace):
         return super().dist_row(x, targets)
 
     def sample_sphere_point(self, rng: random.Random) -> Point:
-        vals = list(range(self.n))
-        rng.shuffle(vals)
-        return ("perm", tuple(vals))
+        return ("perm", tuple(shuffled_range(rng, self.n)))
 
     def sample_point(self, rng: random.Random) -> Point:
         # basis points, the optional origin and a random sphere point are all

@@ -24,6 +24,7 @@ from .core.geometry import (
     iter_permutations,
     matrix_point,
     scaled_basis,
+    shuffled_range,
 )
 from .core.predictors import HypothesisClass
 from .core.response import (Agent, Ball, Explicit, TieBreak, manipulation_type,
@@ -161,8 +162,7 @@ class SphereRadiusFamily:
     def sample(self, rng: random.Random) -> Agent:
         if rng.random() >= self.sphere_mass:
             return self._origin_agent
-        vals = list(range(self.n))
-        rng.shuffle(vals)
+        vals = shuffled_range(rng, self.n)
         u = self._ball_u if vals[self.target] == 0 else self._ball_l
         return Agent(("perm", tuple(vals)), u, 1)
 
@@ -218,9 +218,8 @@ class SphereRankFamily:
         return Agent(("perm", p), self._neg_balls[p[self.target]], -1)
 
     def sample(self, rng: random.Random) -> Agent:
-        vals = list(range(self.n))
-        rng.shuffle(vals)
-        return self._agent(tuple(vals), rng.random() >= self.neg_mass)
+        vals = tuple(shuffled_range(rng, self.n))
+        return self._agent(vals, rng.random() >= self.neg_mass)
 
     def support(self):
         if self.n > 8:
@@ -317,9 +316,7 @@ class PrefixSetFamily:
     def sample(self, rng: random.Random) -> Agent:
         if rng.random() >= self.neg_mass:
             return self._pos_agent
-        order = list(range(self.n))
-        rng.shuffle(order)
-        return self._neg_agent(order)
+        return self._neg_agent(shuffled_range(rng, self.n))
 
     def support(self):
         if self.n > 8:

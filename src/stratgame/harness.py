@@ -4,7 +4,9 @@ A config names an environment, a learner, a setting and a horizon, plus the
 seeds to run and the bound formulas to evaluate.  Every seed produces one
 row (mistakes, rounds, output loss for PAC runs); aggregates and bound
 verdicts are pure functions of the rows, so reports regenerate bit-exactly.
-Seed-level parallelism is opt-in through STRATGAME_THREADS.
+Seeds run in parallel, one worker per CPU this process may use, unless
+``threads`` or STRATGAME_THREADS names another count; rows do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -61,9 +63,14 @@ class ExperimentConfig:
 
 
 def _threads(threads: int | None) -> int:
-    """The worker count: ``threads``, else STRATGAME_THREADS, else 1."""
+    """The worker count: ``threads``, else STRATGAME_THREADS, else one per
+    CPU in this process's affinity mask."""
     if threads is None:
-        raw = os.environ.get("STRATGAME_THREADS", "1")
+        raw = os.environ.get("STRATGAME_THREADS")
+        if raw is None:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
         if not (raw.isdecimal() and int(raw) > 0):
             raise ValueError(f"STRATGAME_THREADS must be a positive integer, got {raw!r}")
         return int(raw)

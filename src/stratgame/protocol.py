@@ -33,24 +33,29 @@ class ContractViolation(RuntimeError):
     """A learner or adversary stepped outside its declared interface."""
 
 
-class RealizabilityError(RuntimeError):
-    """The agent stream is not consistent with any declared target."""
+class _RoundError(RuntimeError):
+    """An error raised in a given round; it pickles, so it crosses from a
+    seed worker back to the parent process."""
 
     def __init__(self, round_index: int, message: str):
         super().__init__(f"round {round_index}: {message}")
         self.round_index = round_index
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.round_index, self.message)
 
 
-class RecoveryError(RuntimeError):
+class RealizabilityError(_RoundError):
+    """The agent stream is not consistent with any declared target."""
+
+
+class RecoveryError(_RoundError):
     """A ball agent's manipulated feature broke the recovery identity.
 
     With x known, the manipulated feature of a ball agent follows from the
     prediction alone; a round that breaks this exposes a faulty best response.
     """
-
-    def __init__(self, round_index: int, message: str):
-        super().__init__(f"round {round_index}: {message}")
-        self.round_index = round_index
 
 
 class Setting(Enum):
@@ -327,6 +332,8 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
     # With x in hand, the manipulated feature of a ball agent is recoverable
     # from y_hat alone: the closest positive point if predicted positive, x
     # itself otherwise.  A missed positive must also have f out of reach.
+    # y_hat is predict(f, delta), so y_hat == 1 puts delta in f.positive and
+    # the loop over f.positive meets d(x, delta) on its way to the minimum.
     x = agent.x
     if y_hat == 1:
         dist = space.dist
@@ -335,12 +342,11 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
             d = dist(x, p)
             if d < dmin:
                 dmin = d
-        if dist(x, delta) > dmin + TOL:
+            if p == delta:
+                d_delta = d
+        if d_delta > dmin + TOL:
             raise RecoveryError(t, f"manipulated feature {delta!r} is farther from "
                                    f"{x!r} than the closest positive point")
-        if predict(f, delta) != 1:
-            raise RecoveryError(t, f"predicted positive but the manipulated feature "
-                                   f"{delta!r} is not in the positive region")
     elif delta != x:
         raise RecoveryError(t, f"predicted negative but the agent moved from {x!r} "
                                f"to {delta!r}")

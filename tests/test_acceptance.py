@@ -2,7 +2,8 @@
 
 Each test prints its PASS/FAIL line (run pytest with -s to see them); the
 same checks back the ``stratgame verify`` subcommand.  The long-horizon
-checks honor STRATGAME_THREADS for seed-level parallelism.
+checks run their seeds on one worker per CPU, or on STRATGAME_THREADS
+workers when it is set.
 """
 
 from stratgame import acceptance

@@ -11,7 +11,7 @@ from stratgame.core.geometry import (
     scaled_basis,
 )
 from stratgame.core.predictors import Hypothesis
-from stratgame.core.response import Ball, Explicit, TieBreak, strategic_loss
+from stratgame.core.response import Agent, Ball, Explicit, TieBreak, strategic_loss
 from stratgame.environments import (
     ParameterError,
     PrefixSetFamily,
@@ -341,6 +341,50 @@ def test_sphere_families_sample_uniform_permutations():
     assert len(counts) == 24
     for c in counts.values():
         assert c / 12_000 == pytest.approx(1 / 24, abs=0.01)
+
+
+def _shuffled(rng, n):
+    vals = list(range(n))
+    rng.shuffle(vals)
+    return vals
+
+
+def _ref_appG(fam, rng):
+    if rng.random() >= fam.sphere_mass:
+        return fam._origin_agent
+    vals = _shuffled(rng, fam.n)
+    return Agent(("perm", tuple(vals)), fam._ball_u if vals[fam.target] == 0
+                 else fam._ball_l, 1)
+
+
+def _ref_appI(fam, rng):
+    vals = tuple(_shuffled(rng, fam.n))
+    return fam._agent(vals, rng.random() >= fam.neg_mass)
+
+
+def _ref_appK(fam, rng):
+    if rng.random() >= fam.neg_mass:
+        return fam._pos_agent
+    return fam._neg_agent(_shuffled(rng, fam.n))
+
+
+@pytest.mark.parametrize("fam,reference", [
+    (SphereRadiusFamily(8, 0.04, target=3), _ref_appG),
+    (SphereRadiusFamily(16, 0.02, target=0), _ref_appG),
+    (SphereRankFamily(7, 0.05, target=2), _ref_appI),
+    (PrefixSetFamily(8, 0.1, target=5), _ref_appK),
+])
+def test_family_draws_match_a_sampler_built_on_random_shuffle(fam, reference):
+    ours, ref = random.Random(29), random.Random(29)
+    for _ in range(10_000):
+        a, b = fam.sample(ours), reference(fam, ref)
+        assert (a.x, a.u, a.y) == (b.x, b.u, b.y)
+    assert ours.getstate() == ref.getstate()
+    space = fam.space
+    if hasattr(space, "sample_sphere_point"):
+        for _ in range(1000):
+            assert space.sample_sphere_point(ours) == ("perm", tuple(_shuffled(ref, fam.n)))
+        assert ours.getstate() == ref.getstate()
 
 
 def test_large_sphere_family_has_no_enumerable_support():

@@ -18,6 +18,7 @@ from stratgame.core.geometry import (
     matrix_point,
     perm_point,
     scaled_basis,
+    shuffled_range,
     validate_metric,
 )
 
@@ -118,6 +119,23 @@ def test_sphere_dist_row_fast_path():
     targets = [basis(i) for i in range(5)]
     row = space.dist_row(x, targets)
     assert np.allclose(row, [space.dist(x, t) for t in targets])
+
+
+def test_shuffled_range_replays_random_shuffle():
+    # each draw sits between two random() calls, so a draw that takes one
+    # getrandbits too many or too few shows in the permutation or the state
+    for n in range(2, 65):
+        for seed in range(200):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                assert ours.random() == ref.random()
+                want = list(range(n))
+                ref.shuffle(want)
+                got = shuffled_range(ours, n)
+                assert got == want, (
+                    f"shuffled_range no longer replays random.shuffle on Python "
+                    f"{sys.version.split()[0]} (n={n}, seed={seed})")
+            assert ours.getstate() == ref.getstate(), (n, seed)
 
 
 def test_matrix_space_from_metric_and_errors():

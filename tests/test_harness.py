@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from stratgame.environments import make_environment
 from stratgame.harness import (
     ExperimentConfig,
+    _threads,
     aggregate_rows,
     emit_report,
     monte_carlo_loss,
@@ -157,6 +159,15 @@ def test_parallel_rows_match_serial():
     parallel = run_experiment(cfg, threads=2)
     assert serial.rows == parallel.rows
     assert serial.aggregate == parallel.aggregate
+
+
+def test_worker_count_defaults_to_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("STRATGAME_THREADS", raising=False)
+    assert _threads(None) == len(os.sched_getaffinity(0))
+    assert _threads(1) == 1
+    monkeypatch.setenv("STRATGAME_THREADS", "3")
+    assert _threads(None) == 3
+    assert _threads(2) == 2
 
 
 def test_mwmr_bound_formula():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stratgame.core.geometry import StarSpace, matrix_point
+from stratgame.core.geometry import StarSpace, basis, matrix_point
 from stratgame.core.predictors import Hypothesis, HypothesisClass
 from stratgame.core.response import Agent, Ball, TieBreak, strategic_loss
 from stratgame.environments import make_environment
@@ -284,6 +284,35 @@ def test_broken_best_response_raises_recovery_error(monkeypatch, star5, agent,
     with pytest.raises(RecoveryError, match=f"round 7: .*{message}") as err:
         run_round(agent, learner, Setting.XD_AFTER, space, t=7)
     assert err.value.round_index == 7
+
+
+def test_farther_basis_point_on_the_sphere_raises_recovery_error(monkeypatch):
+    # an appG sphere positive facing the union of e_2 and e_5: its larger
+    # coordinate makes e_5 the closer point, and both are within reach
+    from stratgame import protocol
+    from stratgame.environments import SphereRadiusFamily
+
+    fam = SphereRadiusFamily(8, 0.04, target=0)
+    space, f = fam.space, fam.hclass.union((2, 5))
+    x = ("perm", tuple(range(8)))
+    agent = Agent(x, Ball(fam.r_u), 1)
+    near, far = basis(5), basis(2)
+    assert space.dist(x, near) + 1e-3 < space.dist(x, far) <= fam.r_u
+    assert run_round(agent, ConstantLearner(f), Setting.XD_AFTER, space, t=7).delta == near
+    monkeypatch.setattr(protocol, "best_response", lambda *args: far)
+    with pytest.raises(RecoveryError, match="round 7: .*farther") as err:
+        run_round(agent, ConstantLearner(f), Setting.XD_AFTER, space, t=7)
+    assert err.value.round_index == 7
+
+
+@pytest.mark.parametrize("error", [RealizabilityError, RecoveryError])
+def test_round_errors_survive_pickling(error):
+    # a seed worker's error reaches the parent process by pickle
+    import pickle
+
+    got = pickle.loads(pickle.dumps(error(4, "stream is not realizable")))
+    assert type(got) is error and got.round_index == 4
+    assert str(got) == "round 4: stream is not realizable"
 
 
 _BROKEN_RUN = """
