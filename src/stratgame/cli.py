@@ -7,7 +7,7 @@ Subcommands:
     verify  execute the built-in acceptance suite
 
 Exit code 0 iff every requested bound check passes, 1 when one fails, and 2
-for configuration errors and contract or realizability violations.
+for configuration errors and contract, realizability or recovery violations.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 from .environments import _STREAM_SPACES, environment_names
 from .harness import (
+    MODES,
     ExperimentConfig,
     emit_report,
     parse_config_file,
@@ -28,16 +29,25 @@ from .harness import (
 )
 from .learners import learner_names
 from .oracle import analytic_union_loss, exact_loss
-from .protocol import ContractViolation, RealizabilityError, Setting
+from .protocol import ContractViolation, RealizabilityError, RecoveryError, Setting
 
-SETTINGS = tuple(s.value for s in Setting)
-
-# config keys by annotated type ("int", "float | None", ...); seeds and
-# bounds are not plain flags
-_FIELD_TYPES = {f.name: f.type.split(" |")[0] for f in fields(ExperimentConfig)}
-_INT_KEYS = {k for k, t in _FIELD_TYPES.items() if t == "int"}
-_FLOAT_KEYS = {k for k, t in _FIELD_TYPES.items() if t == "float"}
-_FLAG_KEYS = tuple(k for k in _FIELD_TYPES if k not in ("seeds", "bounds"))
+# choices and help of the experiment flags beyond their name and type
+_FLAG_OPTIONS = {
+    "env": {"choices": environment_names()},
+    "learner": {"help": f"one of {learner_names()}"},
+    "setting": {"choices": tuple(s.value for s in Setting)},
+    "mode": {"choices": MODES},
+    "env_eps": {"help": "family epsilon when it differs from the learner's"},
+    "c": {"help": "probing threshold override"},
+    "seeds": {"help": "count, lo:hi, or comma list"},
+    "stream_space": {"choices": tuple(_STREAM_SPACES)},
+    "radius_law": {"help": "uniform:<lo>:<hi> or const:<r>"},
+    "bounds": {"action": "append", "metavar": "BOUND",
+               "help": "bound spec, e.g. loss-quantile:limit=0.4,fraction=0.9"},
+}
+# the experiment keys of flags and config files: the ExperimentConfig fields,
+# with one bound spec per --bound flag or bound= line
+_FIELDS = {"bound" if f.name == "bounds" else f.name: f for f in fields(ExperimentConfig)}
 
 
 def _parse_seeds(text: str) -> list:
@@ -62,31 +72,25 @@ def _parse_bound(text: str) -> dict:
     return spec
 
 
+def _type(f):  # int or float by the annotation ("int", "float | None", ...)
+    return {"int": int, "float": float}.get(f.type.split(" |")[0])
+
+
+def _read(f, value):
+    """A field's value from its flag or file text.  Seeds and bounds are parsed
+    here, not by argparse, so that a bad one ends in one ``error:`` line."""
+    if f.name == "seeds":
+        return _parse_seeds(value)
+    if f.name == "bounds":
+        return [_parse_bound(spec) for spec in value]
+    return (_type(f) or str)(value)
+
+
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key=value config file")
-    p.add_argument("--env", choices=environment_names())
-    p.add_argument("--learner", help=f"one of {learner_names()}")
-    p.add_argument("--setting", choices=SETTINGS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--env-eps", dest="env_eps", type=float,
-                   help="family epsilon when it differs from the learner's")
-    p.add_argument("--target", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c", type=float, help="probing threshold override")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--base-rounds", dest="base_rounds", type=int)
-    p.add_argument("--mode", choices=("auto", "online", "pac"))
-    p.add_argument("--seeds", help="count, lo:hi, or comma list")
-    p.add_argument("--stream-space", dest="stream_space",
-                   choices=tuple(_STREAM_SPACES))
-    p.add_argument("--radius-law", dest="radius_law",
-                   help="uniform:<lo>:<hi> or const:<r>")
-    p.add_argument("--estimation-samples", dest="estimation_samples", type=int)
-    p.add_argument("--bound", action="append", default=None,
-                   help="bound spec, e.g. loss-quantile:limit=0.4,fraction=0.9")
+    for key, f in _FIELDS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=f.name, type=_type(f),
+                       **_FLAG_OPTIONS.get(f.name, {}))
     p.add_argument("--out", type=Path)
     p.add_argument("--format", choices=("json", "csv-summary"), default="json")
     p.add_argument("--threads", type=int, help="overrides STRATGAME_THREADS")
@@ -95,34 +99,21 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
-        for key, raw in parse_config_file(args.config.read_text()).items():
-            key = key.replace("-", "_")
-            if key == "seeds":
-                values[key] = _parse_seeds(raw)
-            elif key == "bound":
-                values.setdefault("bounds", []).append(_parse_bound(raw))
-            elif key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            else:
-                values[key] = raw
-    for key in _FLAG_KEYS:
-        flag = getattr(args, key, None)
+        for key, text in parse_config_file(args.config.read_text()).items():
+            f = _FIELDS.get(key.replace("-", "_"))
+            if f is None:
+                raise ValueError(f"unknown config key {key!r}; keys are {list(_FIELDS)}")
+            values[f.name] = _read(f, text)
+    for f in _FIELDS.values():
+        flag = getattr(args, f.name)
         if flag is not None:
-            values[key] = flag
-    if args.seeds is not None:
-        values["seeds"] = _parse_seeds(args.seeds)
-    if args.bound:
-        values["bounds"] = [_parse_bound(b) for b in args.bound]
+            values[f.name] = _read(f, flag)
     if "env" not in values or "learner" not in values:
         raise SystemExit("an experiment needs at least --env and --learner")
-    values.setdefault("setting", "x-delta-after")
     return ExperimentConfig(**values)
 
 
-def _emit(report, args) -> None:
-    payload = emit_report(report, args.format)
+def _emit(payload: bytes, args) -> None:
     if args.out:
         args.out.write_bytes(payload)
     else:
@@ -132,7 +123,7 @@ def _emit(report, args) -> None:
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     report = run_experiment(cfg, threads=args.threads)
-    _emit(report, args)
+    _emit(emit_report(report, args.format), args)
     return 0 if report.all_bounds_pass else 1
 
 
@@ -142,28 +133,17 @@ def cmd_sweep(args) -> int:
     results = []
     all_pass = True
     for v in values:
-        sub = ExperimentConfig(**{**cfg.__dict__, args.param: v})
+        sub = replace(cfg, **{args.param: v})
         report = run_experiment(sub, threads=args.threads)
         all_pass = all_pass and report.all_bounds_pass
         results.append({args.param: v, "aggregate": report.aggregate,
                         "bounds": report.bounds})
-    payload = json.dumps(results, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        args.out.write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit((json.dumps(results, sort_keys=True, indent=2) + "\n").encode(), args)
     return 0 if all_pass else 1
 
 
-def _parse_eps(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(text)
-
-
 def cmd_oracle(args) -> int:
-    eps = _parse_eps(args.eps)
+    eps = Fraction(args.eps)
     if args.all_negative:
         region_points = []
     elif args.positive_at_anchor:
@@ -233,7 +213,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, ValueError, ContractViolation, RealizabilityError) as exc:
+    except (KeyError, ValueError, ContractViolation, RealizabilityError,
+            RecoveryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

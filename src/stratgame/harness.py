@@ -25,6 +25,7 @@ from .protocol import Setting, check_learner, run_online, run_pac
 
 SCHEMA_VERSION = 3
 
+MODES = ("auto", "online", "pac")
 _PAC_LEARNERS = ("random-union",)
 _PAC_PREFIXES = ("survivor:", "boost:")
 
@@ -284,6 +285,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Metrics
         raise ValueError(f"the horizon T must be nonnegative, got {cfg.T}")
     if cfg.bounds and not cfg.seeds:
         raise ValueError("bound checks need at least one seed")
+    if cfg.mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     mode = cfg.resolved_mode()
     for spec in cfg.bounds:
         name = spec.get("name")
@@ -331,7 +334,8 @@ def emit_report(report: MetricsReport, fmt: str) -> bytes:
 
 
 def parse_config_file(text: str) -> dict:
-    """Flat key=value lines mirroring the CLI flags; '#' starts a comment."""
+    """Flat key=value lines mirroring the CLI flags; '#' starts a comment.
+    A repeated key keeps its last value, but ``bound`` lines collect in a list."""
     out: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -340,5 +344,8 @@ def parse_config_file(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
+        if key == "bound":
+            out.setdefault(key, []).append(value)
+        else:
+            out[key] = value
     return out

@@ -333,9 +333,12 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
     # from y_hat alone: the closest positive point if predicted positive, x
     # itself otherwise.  A missed positive must also have f out of reach.
     # y_hat is predict(f, delta), so y_hat == 1 puts delta in f.positive and
-    # the loop over f.positive meets d(x, delta) on its way to the minimum.
+    # the loop over f.positive meets d(x, delta) on its way to the minimum; on
+    # a one-point region delta is that point, so there is nothing to compare.
     x = agent.x
     if y_hat == 1:
+        if len(f.positive) == 1:
+            return
         dist = space.dist
         dmin = math.inf
         for p in f.positive:

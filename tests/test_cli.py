@@ -1,4 +1,6 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -130,17 +132,23 @@ def test_unknown_bound_is_reported(capsys):
       "--T", "50", "--seeds", "1"], "not realizable"),
     (["--env", "appK", "--learner", "mwmr", "--n", "8", "--T", "2000",
       "--eps", "0.1", "--seeds", "0,1,2"], "needs Ball manipulation sets"),
+    (["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.01",
+      "--T", "50", "--seeds", "1"], "farther"),
 ])
 def test_contract_and_realizability_errors_are_one_line(monkeypatch, capsys, argv,
                                                         message):
-    # every seed raises, so a contract error shows only if it comes first
+    # every seed raises, so a contract error shows only if it comes first; the
+    # "farther" case raises a RecoveryError, the others a RealizabilityError
     from stratgame import harness
-    from stratgame.protocol import RealizabilityError
+    from stratgame.protocol import RealizabilityError, RecoveryError
 
-    def unrealizable(cfg, seed):
+    def failing_seed(cfg, seed):
+        if message == "farther":
+            raise RecoveryError(4, "manipulated feature is farther from x than the "
+                                   "closest positive point")
         raise RealizabilityError(4, "version space emptied; stream is not realizable")
 
-    monkeypatch.setattr(harness, "run_single_seed", unrealizable)
+    monkeypatch.setattr(harness, "run_single_seed", failing_seed)
     code = main(["run"] + argv)
     assert code == 2
     err = capsys.readouterr().err
@@ -179,6 +187,67 @@ def test_config_file_reads_every_field_with_its_type(tmp_path):
         assert getattr(got, key) == value and type(getattr(got, key)) is type(value), key
     skipped = {"seeds", "bounds"}
     assert set(values) == set(ExperimentConfig.__dataclass_fields__) - skipped
+    # the same values as flags give an equal config, field by field
+    extra = {"seeds": "2:5", "bound": "loss-quantile:limit=0.4,fraction=0.9"}
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in {**values, **extra}.items()))
+    from_file = _config_from_args(build_parser().parse_args(["run", "--config", str(cfg)]))
+    argv = ["run"]
+    for key, value in {**values, **extra}.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    from_flags = _config_from_args(build_parser().parse_args(argv))
+    assert from_file.seeds == [2, 3, 4]
+    assert from_file.bounds == [{"name": "loss-quantile", "limit": 0.4, "fraction": 0.9}]
+    for f in fields(ExperimentConfig):
+        file_value, flag_value = getattr(from_file, f.name), getattr(from_flags, f.name)
+        assert file_value == flag_value and type(file_value) is type(flag_value), f.name
+
+
+def _subparser(name):
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("command,own", [("run", set()), ("sweep", {"param", "values"})])
+def test_experiment_flags_are_the_config_fields(command, own):
+    dests = {a.dest for a in _subparser(command)._actions}
+    invocation = {"help", "config", "out", "format", "threads"}
+    assert dests - invocation - own == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("line,message", [
+    ("TT=5", "unknown config key 'TT'"),
+    ("threads=2", "unknown config key 'threads'"),
+    ("mode=bogus", "mode must be one of ('auto', 'online', 'pac'), got 'bogus'"),
+    ("setting=nope", "unknown setting 'nope'"),
+])
+def test_config_file_errors_exit_2_before_any_seed(monkeypatch, capsys, tmp_path,
+                                                   line, message):
+    from stratgame import harness
+
+    def no_seed(cfg, seed):
+        raise AssertionError("a seed ran before the config check")
+
+    monkeypatch.setattr(harness, "run_single_seed", no_seed)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"env=appJ\nlearner=seq-elim\nn=8\neps=0.02\nT=10\n{line}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_file_bound_lines_accumulate_and_bound_flags_replace_them(tmp_path):
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text("env=star-ex42\nlearner=seq-elim\n"
+                   "bound=exact-mistake-count:count=5\nbound=halving-mistake-bound\n")
+    argv = ["run", "--config", str(cfg)]
+    got = _config_from_args(build_parser().parse_args(argv))
+    assert got.bounds == [{"name": "exact-mistake-count", "count": 5},
+                          {"name": "halving-mistake-bound"}]
+    got = _config_from_args(build_parser().parse_args(
+        argv + ["--bound", "union-round-budget:eps=0.1"]))
+    assert got.bounds == [{"name": "union-round-budget", "eps": 0.1}]
 
 
 _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]

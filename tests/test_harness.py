@@ -231,6 +231,19 @@ def test_output_loss_bound_rejected_on_online_run_before_any_seed(monkeypatch, s
         run_experiment(_small_cfg(bounds=[spec]))
 
 
+def test_unknown_mode_rejected_before_any_seed(monkeypatch):
+    from stratgame import harness
+
+    def no_seed(cfg, seed):
+        raise AssertionError("a seed ran before the mode check")
+
+    monkeypatch.setattr(harness, "run_single_seed", no_seed)
+    for learner in ("seq-elim", "survivor:seq-elim"):
+        cfg = _small_cfg(learner=learner, mode="bogus", bounds=[])
+        with pytest.raises(ValueError, match=r"'auto', 'online', 'pac'.*'bogus'"):
+            run_experiment(cfg)
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"env": "appK", "learner": "mwmr", "eps": 0.1}, "needs Ball manipulation sets"),
     ({"env": "appK", "learner": "boost:random-union", "eps": 0.1, "delta": 0.1,
