@@ -59,17 +59,35 @@ def _parse_seeds(text: str) -> list:
     return list(range(int(text)))
 
 
+def _number(text: str):
+    """``text`` as an int, else as a float, else None."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_bound(text: str) -> dict:
     name, _, rest = text.partition(":")
     spec = {"name": name}
     if rest:
         for pair in rest.split(","):
-            key, value = pair.split("=")
-            try:
-                spec[key] = int(value)
-            except ValueError:
-                spec[key] = float(value)
+            key, sep, value = pair.partition("=")
+            number = _number(value) if key and sep else None
+            if number is None:
+                raise ValueError(f"bad bound spec {text!r}; the form is "
+                                 f"name[:key=value,...] with numeric values")
+            spec[key] = number
     return spec
+
+
+def _parse_eps(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--eps must be a float or p/q with q != 0, got {text!r}") from None
 
 
 def _type(f):  # int or float by the annotation ("int", "float | None", ...)
@@ -143,7 +161,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    eps = Fraction(args.eps)
+    eps = _parse_eps(args.eps)
     if args.all_negative:
         region_points = []
     elif args.positive_at_anchor:

@@ -187,6 +187,7 @@ class StarSpace(MetricSpace):
             raise ValueError("star space needs at least one spoke")
         self.n = n
         self.points = [matrix_point(k) for k in range(n + 1)]
+        self._ids_of = self._ids = None  # the last target tuple and its point ids
 
     def contains(self, p: Point) -> bool:
         return p[0] == "idx" and 0 <= p[1] <= self.n
@@ -200,8 +201,16 @@ class StarSpace(MetricSpace):
         return 2.0
 
     def dist_row(self, x: Point, targets: Sequence[Point]) -> np.ndarray:
+        # a class passes its one points tuple on every row: keep its ids
+        if targets is self._ids_of:
+            idx = self._ids
+        else:
+            idx = np.fromiter((t[1] for t in targets), dtype=np.int64,
+                              count=len(targets))
+            if type(targets) is tuple:  # immutable, so the ids stay right
+                idx.flags.writeable = False
+                self._ids_of, self._ids = targets, idx
         i = x[1]
-        idx = np.fromiter((t[1] for t in targets), dtype=np.int64, count=len(targets))
         if i == 0:
             return np.where(idx == 0, 0.0, 1.0)
         return np.where(idx == i, 0.0, np.where(idx == 0, 1.0, 2.0))

@@ -69,6 +69,14 @@ def manipulation_type(agents: Iterable["Agent"]) -> type:
 
 
 class Agent:
+    """An agent (x, u, y): original feature, manipulation set and true label.
+
+    Agents are values: nothing mutates one, or its manipulation set, after
+    construction.  So an object keeps its realizability verdict, and
+    ``protocol.run_online`` checks each emitted object once, however many
+    rounds in a row it is played.
+    """
+
     __slots__ = ("x", "u", "y")
 
     def __init__(self, x: Point, u: ManipulationSet, y: int):

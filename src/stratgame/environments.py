@@ -436,15 +436,17 @@ class _ProbingState:
             if not pset:
                 p_allneg += p
                 continue
-            hit = False
-            for pt in self._probe_points:
-                if pt in pset:
-                    p_probe[pt] += p
-                    hit = True
-            if not hit:
+            # walk the predictor's own points: class unions hold basis points
+            # only, so they meet no probe, and each probe still sums its mass
+            # in predictor order
+            if p_probe.keys().isdisjoint(pset):
                 for pt in pset:
                     if pt[0] == "basis":
                         weight[pt[1]] += p
+            else:
+                for pt in pset:
+                    if pt in p_probe:
+                        p_probe[pt] += p
         for pt in self._probe_points:
             if p_probe[pt] >= env.c - 1e-12:
                 return Agent(pt, Ball(0.0), -1)

@@ -132,7 +132,7 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
 
     def predictor_distribution(self):
         p = 1.0 / len(self.alive)
-        return [(self.hclass.union((i,)), p) for i in self.alive]
+        return [(self.hclass[i], p) for i in self.alive]
 
 
 class RandomUnionLearner(_VersionSpaceLearner):

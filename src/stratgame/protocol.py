@@ -432,7 +432,10 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
 
     Every emitted agent is checked for realizability: against the declared
     target, or, when the source declares none, by tracking the set of
-    consistent class members.  On a non-adaptive source with a declared
+    consistent class members.  Agents are immutable values, so an object
+    emitted again on the next round (an adaptive adversary repeats its agent
+    until the learner's state changes) keeps its verdict and is not
+    checked again.  On a non-adaptive source with a declared
     target, rounds on which the learner is ``settled`` on the target are
     skipped: ``skip(m)`` replaces m ``choose``/``observe`` calls, and each
     skipped round runs the played round's response step on the settled
@@ -459,16 +462,21 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     tie_rng = streams.tie
     may_skip = target is not None and getattr(source, "kind", None) != "adaptive"
     skipping = 0  # rounds left in the current skip, played with f
+    checked = None  # the last agent object that passed the realizability check
 
     for t in range(1, T + 1):
         agent = next_agent(t)
-        if target is not None and strategic_loss(space, target, agent) != 0:
-            raise RealizabilityError(t, "declared target misclassifies the emitted agent")
-        if consistent is not None:
-            consistent = [i for i in consistent
-                          if strategic_loss(space, hclass[i], agent) == 0]
-            if not consistent:
-                raise RealizabilityError(t, "no class member is consistent with the stream")
+        if agent is not checked:  # an agent is immutable, so its verdict stands
+            if target is not None and strategic_loss(space, target, agent) != 0:
+                raise RealizabilityError(
+                    t, "declared target misclassifies the emitted agent")
+            if consistent is not None:
+                consistent = [i for i in consistent
+                              if strategic_loss(space, hclass[i], agent) == 0]
+                if not consistent:
+                    raise RealizabilityError(
+                        t, "no class member is consistent with the stream")
+            checked = agent
         if may_skip and not skipping:
             settled = learner.settled()
             if settled is not None and settled[0] == target:

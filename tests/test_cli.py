@@ -74,6 +74,15 @@ def test_oracle_anchor(capsys):
     assert "3/25" in capsys.readouterr().out  # 6 eps
 
 
+@pytest.mark.parametrize("eps", ["1/0", "abc"])
+def test_oracle_bad_eps_exits_2_with_one_line(capsys, eps):
+    code = main(["oracle", "--env", "appK", "--n", "5", "--eps", eps, "--indices", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eps must be") and repr(eps) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep.json"
     code = main([
@@ -220,6 +229,8 @@ def test_experiment_flags_are_the_config_fields(command, own):
     ("threads=2", "unknown config key 'threads'"),
     ("mode=bogus", "mode must be one of ('auto', 'online', 'pac'), got 'bogus'"),
     ("setting=nope", "unknown setting 'nope'"),
+    ("bound=exact-mistake-count:count",
+     "bad bound spec 'exact-mistake-count:count'; the form is name[:key=value,...]"),
 ])
 def test_config_file_errors_exit_2_before_any_seed(monkeypatch, capsys, tmp_path,
                                                    line, message):
@@ -274,6 +285,10 @@ _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
     (["--env", "appJ", "--learner", "boost:seq-elim", "--n", "8", "--eps", "0.1",
       "--delta", "0.1", "--env-eps", "0.02", "--base-rounds", "0", "--T", "10",
       "--seeds", "1"], None, "base_rounds must be at least 1, got 0"),
+    (_APPJ + ["--T", "10", "--seeds", "1", "--bound", "exact-mistake-count:count"], None,
+     "bad bound spec 'exact-mistake-count:count'; the form is name[:key=value,...]"),
+    (_APPJ + ["--T", "10", "--seeds", "1", "--bound", "exact-mistake-count:count=x"],
+     None, "bad bound spec 'exact-mistake-count:count=x'"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):

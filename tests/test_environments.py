@@ -164,6 +164,89 @@ def test_probing_with_sampled_distribution():
     assert tr.T == 50  # completed without contract or realizability errors
 
 
+def _decide_reference(env, dist):
+    """The adversary's decision as first written: every probe point is tested
+    for membership in every predictor."""
+    probes = [ORIGIN] + [scaled_basis(j) for j in range(env.n)]
+    p_allneg = 0.0
+    p_probe = dict.fromkeys(probes, 0.0)
+    weight = [0.0] * env.n
+    for f, p in dist:
+        pset = f.positive
+        if not pset:
+            p_allneg += p
+            continue
+        hit = False
+        for pt in probes:
+            if pt in pset:
+                p_probe[pt] += p
+                hit = True
+        if not hit:
+            for pt in pset:
+                if pt[0] == "basis":
+                    weight[pt[1]] += p
+    for pt in probes:
+        if p_probe[pt] >= env.c - 1e-12:
+            return Agent(pt, Ball(0.0), -1)
+    if p_allneg >= env.c - 1e-12:
+        return Agent(ORIGIN, Ball(1.0), 1)
+    i_t = max(range(env.n), key=lambda i: (weight[i], -i))
+    return Agent(scaled_basis(i_t), Ball(0.0 if i_t == env.target else 0.1), -1)
+
+
+class _FixedView:
+    """A learner view that shows one given distribution and no state version."""
+
+    def __init__(self, dist):
+        self.dist = dist
+
+    def distribution(self, samples):
+        return self.dist
+
+    def version(self):
+        return None
+
+
+def _decisions(n, dists, target=None, c=None):
+    env = ProbingAdversary(n, target=target, c=c)
+    new = [env.fresh().next_agent(_FixedView(d)) for d in dists]
+    old = [_decide_reference(env, d) for d in dists]
+    return [(a.x, a.u.radius, a.y) for a in new], [(a.x, a.u.radius, a.y) for a in old]
+
+
+def test_probing_decision_matches_the_probe_by_probe_reference():
+    n = 6
+    probes = [ORIGIN] + [scaled_basis(j) for j in range(n)]
+    regions = [[ORIGIN], [scaled_basis(2)], [ORIGIN, basis(1)],
+               [scaled_basis(0), scaled_basis(5), basis(3)], [basis(1), basis(4)],
+               [basis(0)], [basis(5)], []]
+    dists = [[(Hypothesis(r), 1.0)] for r in regions]  # what ConstantLearner shows
+    rng = random.Random(5)
+    points = probes + [basis(j) for j in range(n)]
+    for _ in range(300):  # mixtures whose masses fall on every side of c
+        k = rng.randint(1, 12)
+        ws = [rng.random() ** 3 for _ in range(k)]
+        dists.append([(Hypothesis(rng.sample(points, rng.choice((0, 1, 1, 2, 3)))),
+                       w / sum(ws)) for w in ws])
+    env = make_environment("appE", n)
+    for alive in ([0, 1, 2, 3, 4, 5], [1, 4, 5], [3]):  # random-union, by sampling
+        learner = make_learner("random-union")
+        learner.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(1))
+        learner.alive = alive
+        dists.append(LearnerView(learner, random.Random(2)).distribution(300))
+    new, old = _decisions(n, dists, target=2)
+    assert new == old
+    # every branch of the decision is reached
+    kinds = Counter("probe" if x in probes and r == 0.0 and y == -1 else
+                    "origin+" if y == 1 else "planted" for x, r, y in new)
+    assert min(kinds["probe"], kinds["origin+"], kinds["planted"]) >= 10
+    assert {x for x, r, y in new} >= {ORIGIN, scaled_basis(2), scaled_basis(0)}
+    # the same inputs under thresholds that move decisions between branches
+    for c in (0.05, 0.2, 0.5):
+        new, old = _decisions(n, dists, target=2, c=c)
+        assert new == old
+
+
 def test_probing_forces_full_walk_of_mwmr():
     env = make_environment("appE", 8)
     counts = []

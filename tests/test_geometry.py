@@ -37,10 +37,17 @@ def test_star_metric_axioms_exhaustive():
 
 def test_star_dist_row_matches_scalar():
     s = StarSpace(6)
+    spokes = tuple(matrix_point(k) for k in (3, 1, 6, 2))  # a class's points tuple
+    listed = list(s.points)
     for x in s.points:
-        row = s.dist_row(x, s.points)
-        expect = [s.dist(x, p) for p in s.points]
-        assert np.allclose(row, expect)
+        # the tuple's second row reuses the ids kept from its first
+        for targets in (s.points, spokes, spokes, listed):
+            row = s.dist_row(x, targets)
+            assert row.tolist() == [s.dist(x, p) for p in targets]
+            row[:] = -1.0  # each row is the caller's own array
+    listed[0] = matrix_point(5)  # a list may change between calls, so it is read afresh
+    x = matrix_point(5)
+    assert s.dist_row(x, listed).tolist() == [s.dist(x, p) for p in listed]
 
 
 def test_scaled_basis_distances():

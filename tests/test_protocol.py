@@ -201,6 +201,75 @@ def test_full_consistency_check(star5):
         run_online(src, make_learner("seq-elim"), Setting.BLIND, 2, 0)
 
 
+class _Scripted:
+    """An adaptive source that emits ``make(t)`` on round t, declaring ``target``."""
+
+    kind = "adaptive"
+    manipulation = Ball
+    tie = TieBreak.FIXED_LOWEST
+
+    def __init__(self, star5, target, make):
+        self.space, self.hclass = star5
+        self.target = target
+        self.make = make
+        self.t = 0
+
+    def fresh(self):
+        return self
+
+    def next_agent(self, view):
+        self.t += 1
+        return self.make(self.t)
+
+
+def _count_realizability_checks(monkeypatch):
+    from stratgame import protocol
+
+    calls = []
+
+    def counted(space, f, agent):
+        calls.append(agent)
+        return strategic_loss(space, f, agent)
+
+    monkeypatch.setattr(protocol, "strategic_loss", counted)
+    return calls
+
+
+def test_a_repeated_agent_that_the_target_misclassifies_fails_at_round_1(star5):
+    bad = Agent(matrix_point(1), Ball(0.0), -1)  # the target, spoke 1, is positive at x
+    src = _Scripted(star5, 0, lambda t: bad)
+    with pytest.raises(RealizabilityError, match="round 1: declared target") as err:
+        run_online(src, ConstantLearner(ALL_NEG), Setting.XD_AFTER, 5, 0)
+    assert err.value.round_index == 1
+
+
+@pytest.mark.parametrize("fresh,checks", [(False, 1), (True, 6)])
+def test_each_emitted_agent_object_is_checked_once(monkeypatch, star5, fresh, checks):
+    # equal agents are still checked when they are new objects: only identity
+    # carries a verdict from one round to the next
+    same = Agent(matrix_point(1), Ball(0.0), 1)
+    make = (lambda t: Agent(matrix_point(1), Ball(0.0), 1)) if fresh else (lambda t: same)
+    calls = _count_realizability_checks(monkeypatch)
+    tr = run_online(_Scripted(star5, 0, make), ConstantLearner(ALL_NEG),
+                    Setting.XD_AFTER, 6, 0)
+    assert len(calls) == checks
+    assert tr.mistakes == 6
+
+
+def test_a_repeated_agent_leaves_the_consistent_set_as_it_was(monkeypatch, star5):
+    # no declared target: the first agent rules out spoke 1, its repeats cost
+    # no check, spoke 2's positive keeps only spoke 2 of the four left, and
+    # spoke 2's immovable negative then empties the set at round 5
+    kill_1 = Agent(matrix_point(1), Ball(0.0), -1)
+    script = [kill_1, kill_1, kill_1, Agent(matrix_point(2), Ball(0.0), 1),
+              Agent(matrix_point(2), Ball(0.0), -1)]
+    calls = _count_realizability_checks(monkeypatch)
+    src = _Scripted(star5, None, lambda t: script[t - 1])
+    with pytest.raises(RealizabilityError, match="round 5: no class member"):
+        run_online(src, ConstantLearner(ALL_NEG), Setting.BLIND, 5, 0)
+    assert [calls.count(a) for a in script[2:]] == [5, 4, 1]
+
+
 class _Withholding(Learner):
     """Passes the base learner only the feedback of mistake rounds."""
 
