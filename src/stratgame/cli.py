@@ -51,12 +51,16 @@ _FIELDS = {"bound" if f.name == "bounds" else f.name: f for f in fields(Experime
 
 
 def _parse_seeds(text: str) -> list:
-    if "," in text:
-        return [int(s) for s in text.split(",") if s]
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi)))
-    return list(range(int(text)))
+    try:
+        if "," in text:
+            return [int(s) for s in text.split(",") if s]
+        if ":" in text:
+            lo, hi = text.split(":")
+            return list(range(int(lo), int(hi)))
+        return list(range(int(text)))
+    except ValueError:
+        raise ValueError(f"--seeds must be a count, lo:hi or a comma list of "
+                         f"integers, got {text!r}") from None
 
 
 def _number(text: str):
@@ -147,7 +151,11 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    values = [int(v) for v in args.values.split(",")]
+    try:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ValueError(f"--values must be a comma list of integers, "
+                         f"got {args.values!r}") from None
     results = []
     all_pass = True
     for v in values:

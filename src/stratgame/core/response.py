@@ -187,7 +187,8 @@ def strategic_loss_randomized(space: MetricSpace,
 def population_loss(space: MetricSpace, f: Hypothesis, source) -> float:
     """Exact expected strategic loss over an enumerable i.i.d. support.
 
-    ``source`` must expose ``support()`` returning [(agent, probability), ...];
+    ``source`` must expose ``support()`` returning a sequence of (agent,
+    probability) pairs, shared across calls, that callers must not change;
     sources with non-enumerable support return None there and must be
     estimated with the Monte Carlo estimator instead.
     """

@@ -78,6 +78,11 @@ def _spot_check(family, key) -> None:
 
 # ---------------------------------------------------------------------------
 # i.i.d. families
+#
+# The n! families build their support tuple on the first support() call (the
+# spot check makes it) and return that same tuple after; atoms share their
+# weights and, where equal, their points and agents, but each permutation
+# keeps its own atom, so population_loss sums the same terms as ever.
 
 
 class FiniteIIDSource:
@@ -98,7 +103,7 @@ class FiniteIIDSource:
         self.space = space
         self.hclass = hclass
         self.target = target
-        self.atoms = list(atoms)
+        self.atoms = tuple(atoms)
         self._agents = [a for a, _ in self.atoms]
         self.manipulation = manipulation_type(self._agents)
         self._cum = []
@@ -156,6 +161,7 @@ class SphereRadiusFamily:
         self._origin_agent = Agent(ORIGIN, Ball(0.0), -1)
         self._ball_u = Ball(self.r_u)
         self._ball_l = Ball(self.r_l)
+        self._support = None
         if validate:
             _spot_check(self, ("appG", n, eps, target, alpha))
 
@@ -169,12 +175,14 @@ class SphereRadiusFamily:
     def support(self):
         if self.n > 8:
             return None
-        atoms = [(self._origin_agent, 1 - self.sphere_mass)]
-        w = self.sphere_mass / math.factorial(self.n)
-        for p in iter_permutations(self.n):
-            u = self._ball_u if p[self.target] == 0 else self._ball_l
-            atoms.append((Agent(("perm", p), u, 1), w))
-        return atoms
+        if self._support is None:
+            atoms = [(self._origin_agent, 1 - self.sphere_mass)]
+            w = self.sphere_mass / math.factorial(self.n)
+            for p in iter_permutations(self.n):
+                u = self._ball_u if p[self.target] == 0 else self._ball_l
+                atoms.append((Agent(("perm", p), u, 1), w))
+            self._support = tuple(atoms)
+        return self._support
 
 
 class SphereRankFamily:
@@ -209,6 +217,7 @@ class SphereRankFamily:
         # negative radius per target coordinate value v: reaches e_j iff p[j] > v
         self._neg_balls = [Ball(math.sqrt(1 + a2 - 2.0 * (v + 1) / z))
                            for v in range(n)]
+        self._support = None
         if validate:
             _spot_check(self, ("appI", n, eps, target, alpha))
 
@@ -224,12 +233,16 @@ class SphereRankFamily:
     def support(self):
         if self.n > 8:
             return None
-        atoms = []
-        nf = math.factorial(self.n)
-        for p in iter_permutations(self.n):
-            atoms.append((self._agent(p, True), (1 - self.neg_mass) / nf))
-            atoms.append((self._agent(p, False), self.neg_mass / nf))
-        return atoms
+        if self._support is None:
+            atoms = []
+            nf = math.factorial(self.n)
+            w_pos, w_neg = (1 - self.neg_mass) / nf, self.neg_mass / nf
+            for p in iter_permutations(self.n):
+                x = ("perm", p)  # one point for both labels
+                atoms.append((Agent(x, self._pos_ball, 1), w_pos))
+                atoms.append((Agent(x, self._neg_balls[p[self.target]], -1), w_neg))
+            self._support = tuple(atoms)
+        return self._support
 
 
 class StarSpokeFamily:
@@ -301,6 +314,7 @@ class PrefixSetFamily:
         self.neg_mass = 6 * eps
         self._hub = matrix_point(0)
         self._pos_agent = Agent(self._hub, Explicit(self.space.points), 1)
+        self._support = None
         if validate:
             _spot_check(self, ("appK", n, eps, target))
 
@@ -321,11 +335,19 @@ class PrefixSetFamily:
     def support(self):
         if self.n > 8:
             return None
-        atoms = [(self._pos_agent, 1 - self.neg_mass)]
-        w = self.neg_mass / math.factorial(self.n)
-        for order in iter_permutations(self.n):
-            atoms.append((self._neg_agent(order), w))
-        return atoms
+        if self._support is None:
+            atoms = [(self._pos_agent, 1 - self.neg_mass)]
+            w = self.neg_mass / math.factorial(self.n)
+            # a negative is its prefix set, so n! orders share 2^(n-1) atoms
+            shared = {}
+            for order in iter_permutations(self.n):
+                prefix = frozenset(order[:order.index(self.target)])
+                atom = shared.get(prefix)
+                if atom is None:
+                    atom = shared[prefix] = (self._neg_agent(order), w)
+                atoms.append(atom)
+            self._support = tuple(atoms)
+        return self._support
 
 
 # ---------------------------------------------------------------------------

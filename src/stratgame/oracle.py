@@ -72,6 +72,21 @@ def describe_region(tag: str, n: int, f) -> Region:
     return Region(at_anchor, singles, sphere)
 
 
+def _check_family(tag: str, n: int, eps, target: int) -> None:
+    """Reject what the family itself rejects: eps outside 0 < c*eps <= 1, with
+    c = 3n on appG, 3(n-1) on appJ and 6 on appI and appK, and a target
+    outside 0..n-1.  eps is checked as given, before it becomes a Fraction,
+    so a float eps passes exactly when the family accepts it (1/33 on appJ at
+    n=12 does, though the Fraction of that float times 33 exceeds 1)."""
+    c = {"appG": 3 * n, "appI": 6, "appJ": 3 * (n - 1), "appK": 6}.get(tag)
+    if c is None:
+        raise KeyError(f"no exact oracle for family {tag!r}")
+    if eps <= 0 or c * eps > 1:
+        raise ValueError(f"{tag} at n={n} needs 0 < eps and {c}*eps <= 1, got eps={eps}")
+    if not 0 <= target < n:
+        raise ValueError(f"target must be in 0..{n - 1}, got {target}")
+
+
 def _check_exact_size(n: int) -> None:
     if n > EXACT_LIMIT:
         raise SupportTooLarge(f"support too large: n={n} > {EXACT_LIMIT}")
@@ -99,6 +114,7 @@ def _rank_neg_reaches(p: tuple, q: tuple, v: int, alpha: Fraction, s: int) -> bo
 def exact_loss(tag: str, n: int, eps, target: int, f,
                alpha=Fraction(1, 10)) -> Fraction:
     """Exact population strategic loss of f on the named family (n <= 7)."""
+    _check_family(tag, n, eps, target)
     eps = _as_fraction(eps)
     alpha = _as_fraction(alpha)
     region = describe_region(tag, n, f)
@@ -109,9 +125,7 @@ def exact_loss(tag: str, n: int, eps, target: int, f,
         return _loss_prefix(n, eps, target, region)
     if tag == "appG":
         return _loss_radius(n, eps, target, region, alpha)
-    if tag == "appI":
-        return _loss_rank(n, eps, target, region, alpha)
-    raise KeyError(f"no exact oracle for family {tag!r}")
+    return _loss_rank(n, eps, target, region, alpha)
 
 
 def _loss_star(n: int, eps: Fraction, target: int, region: Region) -> Fraction:
@@ -175,25 +189,19 @@ def _loss_rank(n: int, eps: Fraction, target: int, region: Region,
                alpha: Fraction) -> Fraction:
     if alpha <= 0 or alpha > Fraction(1, 3):
         raise ValueError("exact sphere reasoning needs 0 < alpha <= 1/3")
-    loss = Fraction(0)
-    nf = math.factorial(n)
+    if region.empty:
+        return 1 - 6 * eps  # radius-2 positives reach any nonempty region
     s = _sq_sum(n)
-    pos_atom = Fraction(1 - 6 * eps, nf)
-    neg_atom = Fraction(6 * eps, nf)
+    hits = 0
     for p in permutations(range(n)):
-        if region.empty:
-            loss += pos_atom  # radius-2 positives reach any nonempty region
-            continue
         if p in region.sphere:
-            loss += neg_atom  # negative already predicted positive
+            hits += 1  # negative already predicted positive
             continue
         v = p[target]
-        reach = any(p[j] > v for j in region.singles)
-        if not reach:
-            reach = any(_rank_neg_reaches(p, q, v, alpha, s) for q in region.sphere)
-        if reach:
-            loss += neg_atom
-    return loss
+        if (any(p[j] > v for j in region.singles)
+                or any(_rank_neg_reaches(p, q, v, alpha, s) for q in region.sphere)):
+            hits += 1
+    return 6 * eps * Fraction(hits, math.factorial(n))
 
 
 def analytic_union_loss(tag: str, n: int, eps, target: int, parts) -> Fraction:
@@ -202,6 +210,7 @@ def analytic_union_loss(tag: str, n: int, eps, target: int, parts) -> Fraction:
     ``parts`` are class indices (duplicates allowed).  Derivations mirror the
     enumeration oracle, which cross-checks these at small n.
     """
+    _check_family(tag, n, eps, target)
     eps = _as_fraction(eps)
     distinct = set(int(i) for i in parts)
     if not distinct:
@@ -214,10 +223,8 @@ def analytic_union_loss(tag: str, n: int, eps, target: int, parts) -> Fraction:
         # loses on a negative iff some wrong singleton is drawn/ranked before
         # the target, which happens with probability m/(m+1)
         return 6 * eps * Fraction(m, m + 1)
-    if tag == "appG":
-        # a positive is missed only when every union part sits on the single
-        # zero coordinate, possible only for one wrong singleton
-        if distinct == wrong and m == 1:
-            return 3 * eps
-        return Fraction(0)
-    raise KeyError(f"no closed form for family {tag!r}")
+    # appG: a positive is missed only when every union part sits on the single
+    # zero coordinate, possible only for one wrong singleton
+    if distinct == wrong and m == 1:
+        return 3 * eps
+    return Fraction(0)

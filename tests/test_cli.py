@@ -83,6 +83,23 @@ def test_oracle_bad_eps_exits_2_with_one_line(capsys, eps):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--env", "appJ", "--n", "5", "--eps", "1", "--all-negative"],
+     "appJ at n=5 needs 0 < eps and 12*eps <= 1, got eps=1"),
+    (["--env", "appG", "--n", "5", "--eps", "0", "--indices", "0"], "got eps=0"),
+    (["--env", "appK", "--n", "5", "--eps", "1/10", "--target", "9", "--all-negative"],
+     "target must be in 0..4, got 9"),
+    (["--env", "appI", "--n", "5", "--eps", "1/10", "--target", "-1", "--indices", "0"],
+     "target must be in 0..4, got -1"),
+])
+def test_oracle_out_of_range_exits_2_with_one_line(capsys, argv, message):
+    assert main(["oracle"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep.json"
     code = main([
@@ -231,6 +248,7 @@ def test_experiment_flags_are_the_config_fields(command, own):
     ("setting=nope", "unknown setting 'nope'"),
     ("bound=exact-mistake-count:count",
      "bad bound spec 'exact-mistake-count:count'; the form is name[:key=value,...]"),
+    ("seeds=3:x", "--seeds must be a count, lo:hi or a comma list of integers, got '3:x'"),
 ])
 def test_config_file_errors_exit_2_before_any_seed(monkeypatch, capsys, tmp_path,
                                                    line, message):
@@ -289,6 +307,10 @@ _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
      "bad bound spec 'exact-mistake-count:count'; the form is name[:key=value,...]"),
     (_APPJ + ["--T", "10", "--seeds", "1", "--bound", "exact-mistake-count:count=x"],
      None, "bad bound spec 'exact-mistake-count:count=x'"),
+    (_APPJ + ["--T", "10", "--seeds", "3:x"], None,
+     "--seeds must be a count, lo:hi or a comma list of integers, got '3:x'"),
+    (_APPJ + ["--T", "10", "--seeds", "1:2:3"], None, "got '1:2:3'"),
+    (_APPJ + ["--T", "10", "--seeds", "0,y"], None, "got '0,y'"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):
@@ -330,3 +352,17 @@ def test_survivor_run_at_zero_horizon(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["rows"] == [{"seed": 0, "mistakes": 0, "rounds": 0,
                                "output_loss": 0.0}]
+
+
+def test_sweep_bad_value_exits_2_before_any_seed(monkeypatch, capsys):
+    from stratgame import harness
+
+    def no_seed(cfg, seed):
+        raise AssertionError("a seed ran before the value check")
+
+    monkeypatch.setattr(harness, "run_single_seed", no_seed)
+    code = main(["sweep"] + _APPJ + ["--T", "10", "--seeds", "1", "--param", "n",
+                                     "--values", "5,x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --values must be a comma list of integers, got '5,x'\n"

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -11,7 +12,8 @@ from stratgame.core.geometry import (
     scaled_basis,
 )
 from stratgame.core.predictors import Hypothesis
-from stratgame.core.response import Agent, Ball, Explicit, TieBreak, strategic_loss
+from stratgame.core.response import (Agent, Ball, Explicit, TieBreak, population_loss,
+                                     strategic_loss)
 from stratgame.environments import (
     ParameterError,
     PrefixSetFamily,
@@ -468,6 +470,83 @@ def test_family_draws_match_a_sampler_built_on_random_shuffle(fam, reference):
         for _ in range(1000):
             assert space.sample_sphere_point(ours) == ("perm", tuple(_shuffled(ref, fam.n)))
         assert ours.getstate() == ref.getstate()
+
+
+_SUPPORT_FAMILIES = {"appG": SphereRadiusFamily, "appI": SphereRankFamily,
+                     "appK": PrefixSetFamily}
+
+
+def _fresh_support(fam) -> list:
+    """The support as the families built it anew on every call: n! fresh
+    atoms, each with its own point, agent and weight."""
+    n, t = fam.n, fam.target
+    nf = math.factorial(n)
+    if fam.tag == "appG":
+        atoms = [(Agent(ORIGIN, Ball(0.0), -1), 1 - fam.sphere_mass)]
+        for p in permutations(range(n)):
+            r = fam.r_u if p[t] == 0 else fam.r_l
+            atoms.append((Agent(("perm", p), Ball(r), 1), fam.sphere_mass / nf))
+        return atoms
+    if fam.tag == "appI":
+        a2, z = fam.space.alpha ** 2, fam.space.z
+        atoms = []
+        for p in permutations(range(n)):
+            neg_r = math.sqrt(1 + a2 - 2.0 * (p[t] + 1) / z)
+            atoms.append((Agent(("perm", p), Ball(2.0), 1), (1 - fam.neg_mass) / nf))
+            atoms.append((Agent(("perm", p), Ball(neg_r), -1), fam.neg_mass / nf))
+        return atoms
+    hub = matrix_point(0)
+    atoms = [(Agent(hub, Explicit(fam.space.points), 1), 1 - fam.neg_mass)]
+    for order in permutations(range(n)):
+        members = [hub] + [matrix_point(j + 1) for j in order[:order.index(t)]]
+        atoms.append((Agent(hub, Explicit(members), -1), fam.neg_mass / nf))
+    return atoms
+
+
+@pytest.mark.parametrize("tag", sorted(_SUPPORT_FAMILIES))
+def test_kept_support_equals_a_fresh_build_atom_by_atom(tag):
+    for n in range(2, 8):
+        for target in range(n):
+            fam = _SUPPORT_FAMILIES[tag](n, 0.01, target=target, validate=False)
+            kept, fresh = fam.support(), _fresh_support(fam)
+            assert isinstance(kept, tuple) and len(kept) == len(fresh)
+            for (a, w), (b, v) in zip(kept, fresh):
+                assert (a.x, a.u, a.y, w) == (b.x, b.u, b.y, v), (tag, n, target)
+
+
+@pytest.mark.parametrize("tag", sorted(_SUPPORT_FAMILIES))
+def test_support_is_built_once(tag):
+    fam = _SUPPORT_FAMILIES[tag](5, 0.01, target=1)
+    assert fam.support() is fam.support()
+
+
+def test_kept_supports_share_equal_parts():
+    n = 7
+    prefix = PrefixSetFamily(n, 0.05, target=2).support()
+    # the positive, and one negative per subset of the other n - 1 spokes
+    assert len({id(a) for a, _ in prefix}) == 2 ** (n - 1) + 1
+    rank = SphereRankFamily(n, 0.02, target=2).support()
+    assert all(pos.x is neg.x for (pos, _), (neg, _) in zip(rank[::2], rank[1::2]))
+
+
+def _referee_predictors(fam):
+    n = fam.n
+    out = [fam.hclass.union((i,)) for i in range(n)]
+    out += [fam.hclass.union((1, 3)), fam.hclass.union((0, 1, 3, 4)), Hypothesis(())]
+    if fam.tag != "appI":  # appI has no anchor point
+        out.append(Hypothesis((ORIGIN if fam.tag == "appG" else matrix_point(0),)))
+    return out
+
+
+@pytest.mark.parametrize("tag,eps", [("appG", 0.01), ("appI", 0.02), ("appK", 0.05)])
+def test_population_loss_over_kept_support_is_bit_identical(tag, eps):
+    # fsum of the same multiset of terms is exact, so the kept atoms must give
+    # the very float the fresh list gives
+    fam = _SUPPORT_FAMILIES[tag](7, eps, target=2)
+    fresh = _fresh_support(fam)
+    for f in _referee_predictors(fam):
+        want = math.fsum(w * strategic_loss(fam.space, f, a) for a, w in fresh)
+        assert population_loss(fam.space, f, fam) == want, (tag, sorted(f.positive))
 
 
 def test_large_sphere_family_has_no_enumerable_support():

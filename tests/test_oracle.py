@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -13,7 +14,10 @@ from stratgame.core.predictors import Hypothesis
 from stratgame.core.response import population_loss
 from stratgame.environments import make_environment
 from stratgame.oracle import (
+    Region,
     SupportTooLarge,
+    _loss_rank,
+    _rank_neg_reaches,
     analytic_union_loss,
     describe_region,
     exact_loss,
@@ -140,8 +144,10 @@ def test_population_loss_matches_oracle_on_random_regions(case):
 def test_exact_oracle_rejects_large_supports():
     with pytest.raises(SupportTooLarge, match="support too large"):
         exact_loss("appK", 8, EPS, 0, [matrix_point(1)])
-    # the star family's support has n + 1 atoms, so any n is fine
-    assert exact_loss("appJ", 50, EPS, 0, [matrix_point(0)]) == 3 * 49 * EPS
+    # the star family's support has n + 1 atoms, so any n is fine (with
+    # 3(n-1) eps <= 1)
+    eps = Fraction(1, 1000)
+    assert exact_loss("appJ", 50, eps, 0, [matrix_point(0)]) == 3 * 49 * eps
 
 
 def test_describe_region_rejects_foreign_points():
@@ -173,3 +179,76 @@ def test_all_negative_population_loss_matches_oracle():
     got = population_loss(fam.space, Hypothesis(()), fam)
     assert got == pytest.approx(1 - 6 * 0.05, abs=1e-9)
     assert float(exact_loss("appK", 5, Fraction(1, 20), 2, [])) == pytest.approx(got)
+
+
+@pytest.mark.parametrize("tag,eps", [
+    ("appG", Fraction(1, 15)), ("appI", Fraction(1, 6)), ("appJ", Fraction(1, 12)),
+    ("appK", Fraction(1, 6))])
+def test_oracles_accept_eps_at_the_family_limit(tag, eps):
+    assert 0 <= exact_loss(tag, 5, eps, 4, []) <= 1
+    assert 0 <= analytic_union_loss(tag, 5, eps, 4, (0,)) <= 1
+
+
+def test_oracles_accept_every_float_eps_the_family_accepts():
+    # float(33 * (1/33)) is 1.0, but the float 1/33 is a little above 1/33
+    eps = 1 / 33
+    assert Fraction(eps) * 33 > 1
+    fam = make_environment("appJ", 12, eps=eps, target=0).family
+    assert analytic_union_loss("appJ", 12, fam.eps, 0, (1,)) == 3 * Fraction(eps)
+    assert exact_loss("appJ", 12, fam.eps, 0, [matrix_point(2)]) == 3 * Fraction(eps)
+
+
+@pytest.mark.parametrize("tag,eps,target,message", [
+    ("appG", Fraction(1, 14), 0, "appG at n=5 needs 0 < eps and 15*eps <= 1, got eps=1/14"),
+    ("appI", Fraction(1, 5), 0, "appI at n=5 needs 0 < eps and 6*eps <= 1"),
+    ("appJ", Fraction(1), 0, "appJ at n=5 needs 0 < eps and 12*eps <= 1, got eps=1"),
+    ("appK", Fraction(1, 5), 0, "appK at n=5 needs 0 < eps and 6*eps <= 1"),
+    ("appJ", Fraction(0), 0, "got eps=0"),
+    ("appK", Fraction(-1, 10), 0, "got eps=-1/10"),
+    ("appK", Fraction(1, 10), 9, "target must be in 0..4, got 9"),
+    ("appG", Fraction(1, 100), -1, "target must be in 0..4, got -1"),
+])
+def test_oracles_reject_eps_and_target_outside_the_family(tag, eps, target, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exact_loss(tag, 5, eps, target, [])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        analytic_union_loss(tag, 5, eps, target, (0,))
+
+
+def _reference_loss_rank(n, eps, target, region, alpha=Fraction(1, 10)):
+    """The appI oracle as it was: one Fraction added per permutation."""
+    loss = Fraction(0)
+    nf = math.factorial(n)
+    s = sum(k * k for k in range(n))
+    pos_atom = Fraction(1 - 6 * eps, nf)
+    neg_atom = Fraction(6 * eps, nf)
+    for p in permutations(range(n)):
+        if region.empty:
+            loss += pos_atom
+            continue
+        if p in region.sphere:
+            loss += neg_atom
+            continue
+        v = p[target]
+        reach = any(p[j] > v for j in region.singles)
+        if not reach:
+            reach = any(_rank_neg_reaches(p, q, v, alpha, s) for q in region.sphere)
+        if reach:
+            loss += neg_atom
+    return loss
+
+
+def test_rank_oracle_counts_equal_the_per_permutation_sum():
+    rng = random.Random(15)
+    for n in range(2, 7):
+        perms = list(permutations(range(n)))
+        for eps in (Fraction(1, 100), Fraction(1, 6)):
+            for target in range(n):
+                regions = [Region(), Region(singles={target}),
+                           Region(singles=rng.sample(range(n), rng.randint(1, n))),
+                           Region(sphere=rng.sample(perms, min(3, len(perms)))),
+                           Region(singles={rng.randrange(n)}, sphere=[rng.choice(perms)])]
+                for region in regions:
+                    got = _loss_rank(n, eps, target, region, Fraction(1, 10))
+                    assert got == _reference_loss_rank(n, eps, target, region), (n, target)
+                    assert isinstance(got, Fraction)
