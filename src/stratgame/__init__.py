@@ -16,7 +16,6 @@ from .core import (
     TieBreak,
     basis,
     best_response,
-    distance_to_hypothesis,
     matrix_point,
     perm_point,
     population_loss,
@@ -27,7 +26,6 @@ from .core import (
     validate_metric,
 )
 from .protocol import (
-    ConstantLearner,
     ContractViolation,
     Feedback,
     Learner,

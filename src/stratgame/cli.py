@@ -63,6 +63,13 @@ def _parse_seeds(text: str) -> list:
                          f"integers, got {text!r}") from None
 
 
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma list of integers, got {text!r}") from None
+
+
 def _number(text: str):
     """``text`` as an int, else as a float, else None."""
     for kind in (int, float):
@@ -131,7 +138,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if flag is not None:
             values[f.name] = _read(f, flag)
     if "env" not in values or "learner" not in values:
-        raise SystemExit("an experiment needs at least --env and --learner")
+        raise ValueError("an experiment needs at least --env and --learner")
     return ExperimentConfig(**values)
 
 
@@ -151,11 +158,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    try:
-        values = [int(v) for v in args.values.split(",")]
-    except ValueError:
-        raise ValueError(f"--values must be a comma list of integers, "
-                         f"got {args.values!r}") from None
+    values = _int_list(args.values, "--values")
     results = []
     all_pass = True
     for v in values:
@@ -175,19 +178,19 @@ def cmd_oracle(args) -> int:
     elif args.positive_at_anchor:
         anchor = ("origin",) if args.env in ("appG", "appI") else ("idx", 0)
         region_points = [anchor]
-    elif args.indices:
-        idx = [int(i) for i in args.indices.split(",")]
+    else:
+        idx = _int_list(args.indices, "--indices")
+        if not all(0 <= i < args.n for i in idx):
+            raise ValueError(f"--indices must be class indices in 0..{args.n - 1}, "
+                             f"got {args.indices!r}")
         if args.env in ("appG", "appI"):
             region_points = [("basis", i) for i in idx]
         else:
             region_points = [("idx", i + 1) for i in idx]
-    else:
-        raise SystemExit("give --indices, --all-negative or --positive-at-anchor")
     value = exact_loss(args.env, args.n, eps, args.target, region_points)
     print(f"exact loss = {value} = {float(value):.10g}")
     if args.indices:
-        closed = analytic_union_loss(args.env, args.n, eps, args.target,
-                                     [int(i) for i in args.indices.split(",")])
+        closed = analytic_union_loss(args.env, args.n, eps, args.target, idx)
         print(f"closed form = {closed} = {float(closed):.10g}")
     return 0
 
@@ -195,7 +198,7 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     from .acceptance import run_all
 
-    only = [int(i) for i in args.only.split(",")] if args.only else None
+    only = _int_list(args.only, "--only") if args.only else None
     results = run_all(only=only)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
@@ -224,9 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--eps", required=True, help="float or p/q")
     p_oracle.add_argument("--target", type=int, default=0)
-    p_oracle.add_argument("--indices", help="comma list of class indices")
-    p_oracle.add_argument("--all-negative", action="store_true")
-    p_oracle.add_argument("--positive-at-anchor", action="store_true")
+    region = p_oracle.add_mutually_exclusive_group(required=True)
+    region.add_argument("--indices", help="comma list of class indices")
+    region.add_argument("--all-negative", action="store_true")
+    region.add_argument("--positive-at-anchor", action="store_true")
     p_oracle.set_defaults(fn=cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")

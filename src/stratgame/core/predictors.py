@@ -8,7 +8,6 @@ whose full universe is never materialized.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,18 +90,6 @@ def predict(f: Hypothesis, x: Point, space: MetricSpace | None = None) -> int:
     if space is not None:
         space.check_point(x)
     return f.label(x)
-
-
-def distance_to_hypothesis(space: MetricSpace, x: Point, f: Hypothesis) -> float:
-    """min distance from x to the positive region; +inf when the region is empty.
-
-    For unions this equals the minimum of the per-part distances.
-    """
-    space.check_point(x)
-    if not f.positive:
-        return math.inf
-    dist = space.dist
-    return min(dist(x, p) for p in f.positive)
 
 
 class ClassDistanceIndex:

@@ -1,10 +1,9 @@
 """Learning algorithms: version-space eliminators and PAC wrappers.
 
-All eliminators keep a version space of class indices still consistent with
-the mistake rounds seen so far.  On ball manipulations a mistake at (x, f)
-orders the class by distance to x and cuts on the side of d(x, f): a missed
-positive proves the target is closer than f, a false positive proves it is
-farther.
+The four base learners share one version space, the class indices still
+consistent with the mistake rounds seen so far, and each adds a choice rule
+and one of two cuts: the distance cut for ball manipulations, or the label
+cut of ``seq-elim``, valid for any manipulation set.
 """
 
 from __future__ import annotations
@@ -16,18 +15,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core.geometry import TOL
-from .core.response import Ball
+from .core.response import Ball, ManipulationSet
 from .protocol import ContractViolation, Exposure, Learner, RealizabilityError, Setting
 
 
 class _VersionSpaceLearner(Learner):
-    """Shared machinery: the version space and the one distance cut.
+    """Shared machinery: the version space, cut on mistake rounds by ``_keep``.
 
-    ``alive`` is the sorted list of class indices still consistent.  On a
-    mistake, d(x, f) is the distance to f's nearest part, with x the
-    feedback's original feature.
+    ``alive`` is the sorted list of class indices still consistent.  The
+    default cut is the distance cut: a mistake at (x, f), with x the feedback's
+    original feature, orders the class by distance to x and cuts on the side
+    of d(x, f), the distance to f's nearest part.  A missed positive proves the
+    target closer than f, a false positive proves it farther.
     """
 
+    requires = Setting.XD_AFTER
     manipulation = Ball
 
     def reset(self, hclass, space, setting, rng):
@@ -50,10 +52,7 @@ class _VersionSpaceLearner(Learner):
         self.rounds_seen += 1
         if not feedback.mistake:
             return
-        row = self.index.row(feedback.x)
-        d_f = min(row[i] for i in self._last_choice.parts)
-        keep = (row < d_f - TOL if feedback.y == 1 else row > d_f + TOL).tolist()
-        survivors = [i for i in self.alive if keep[i]]
+        survivors = self._keep(feedback)
         if not survivors:
             raise RealizabilityError(
                 self.rounds_seen, "version space emptied; stream is not realizable")
@@ -61,6 +60,13 @@ class _VersionSpaceLearner(Learner):
             self.alive = survivors
             self._version += 1
             self._shrunk()
+
+    def _keep(self, feedback):
+        """The alive members consistent with a mistake round's feedback."""
+        row = self.index.row(feedback.x)
+        d_f = min(row[i] for i in feedback.predictor.parts)
+        keep = (row < d_f - TOL if feedback.y == 1 else row > d_f + TOL).tolist()
+        return [i for i in self.alive if keep[i]]
 
     def _shrunk(self):
         """Update derived state after the version space shrank."""
@@ -117,7 +123,6 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
 
     name = "mwmr"
     conservative = True
-    requires = Setting.XD_AFTER
     exposes = Exposure.DISTRIBUTION
 
     def choose(self, context):
@@ -148,7 +153,6 @@ class RandomUnionLearner(_VersionSpaceLearner):
 
     name = "random-union"
     conservative = False
-    requires = Setting.XD_AFTER
     exposes = Exposure.DISTRIBUTION
 
     def reset(self, hclass, space, setting, rng):
@@ -193,54 +197,36 @@ class RandomUnionLearner(_VersionSpaceLearner):
         return self.hclass.union(tuple(rng.choices(self.alive, k=k)))
 
 
-class SequentialElimination(Learner):
+class SequentialElimination(_VersionSpaceLearner):
     """Tries class members in index order, discarding one per mistake.
 
-    Works in every setting since it reads only the label and the prediction;
-    at most |H| - 1 mistakes on realizable streams.
+    Works in every setting and for any manipulation set, since its cut reads
+    only the label and the prediction: it plays singletons, so a mistake
+    removes the member played.  At most |H| - 1 mistakes on realizable streams.
     """
 
     name = "seq-elim"
     conservative = True
     requires = Setting.BLIND
+    manipulation = ManipulationSet
     exposes = Exposure.DETERMINISTIC
 
-    def reset(self, hclass, space, setting, rng):
-        self.hclass = hclass
-        self.alive = list(range(len(hclass)))
-        self.rounds_seen = 0
-        self._version = 0
-
-    @property
-    def alive_indices(self) -> tuple:
-        return tuple(self.alive)
-
     def choose(self, context):
-        return self.hclass.union((self.alive[0],))
+        self._last_choice = self.hclass[self.alive[0]]
+        return self._last_choice
 
-    def observe(self, feedback):
-        self.rounds_seen += 1
-        if feedback.mistake:
-            self.alive.pop(0)
-            self._version += 1
-            if not self.alive:
-                raise RealizabilityError(
-                    self.rounds_seen, "all hypotheses discarded; stream is not realizable")
+    def _keep(self, feedback):
+        played = feedback.predictor.parts
+        return [i for i in self.alive if i not in played]
 
     def settled(self):
         return self.hclass[self.alive[0]], math.inf
 
-    def skip(self, m):
-        self.rounds_seen += m
-
     def finalize(self):
-        return self.hclass.union((self.alive[0],))
+        return self.hclass[self.alive[0]]
 
     def predictor_distribution(self):
-        return [(self.hclass.union((self.alive[0],)), 1.0)]
-
-    def state_version(self):
-        return self._version
+        return [(self.hclass[self.alive[0]], 1.0)]
 
 
 def _check_accuracy(epsilon: float, delta: float) -> None:
@@ -505,28 +491,21 @@ def make_learner(name: str, n: int | None = None, epsilon: float | None = None,
     """
     if name in _BASES:
         return _BASES[name]()
-    if name.startswith("survivor:"):
-        base_name = name.split(":", 1)[1]
-        if base_name not in _BASES:
-            raise KeyError(f"unknown base learner {base_name!r}")
-        if epsilon is None or delta is None:
-            raise ValueError("survivor wrapper needs epsilon and delta")
+    wrapper, _, base_name = name.partition(":")
+    sizes = {"survivor": ("budget", budget), "boost": ("base_rounds", base_rounds)}
+    if wrapper not in sizes or base_name not in _BASES:
+        raise KeyError(f"unknown learner {name!r}; known: {learner_names()}")
+    if epsilon is None or delta is None:
+        raise ValueError(f"{wrapper} wrapper needs epsilon and delta")
+    size_name, size = sizes[wrapper]
+    if size is None and n is None:
+        raise ValueError(f"{wrapper} wrapper needs {size_name} or the class size")
+    if wrapper == "survivor":
         if budget is None:
-            if n is None:
-                raise ValueError("survivor wrapper needs a budget or the class size")
             budget = mistake_budget(base_name, n)
         cfg = SurvivorConfig(budget=budget, epsilon=epsilon, delta=delta)
         return LongestSurvivor(_BASES[base_name](), cfg)
-    if name.startswith("boost:"):
-        base_name = name.split(":", 1)[1]
-        if base_name not in _BASES:
-            raise KeyError(f"unknown base learner {base_name!r}")
-        if epsilon is None or delta is None:
-            raise ValueError("boost wrapper needs epsilon and delta")
-        if base_rounds is None:
-            if n is None:
-                raise ValueError("boost wrapper needs base_rounds or the class size")
-            base_rounds = default_union_rounds(n, epsilon)
-        cfg = BoostConfig(epsilon=epsilon, delta=delta, base_rounds=base_rounds)
-        return BoostLearner(_BASES[base_name], cfg)
-    raise KeyError(f"unknown learner {name!r}; known: {learner_names()}")
+    if base_rounds is None:
+        base_rounds = default_union_rounds(n, epsilon)
+    cfg = BoostConfig(epsilon=epsilon, delta=delta, base_rounds=base_rounds)
+    return BoostLearner(_BASES[base_name], cfg)

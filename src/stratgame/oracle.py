@@ -215,6 +215,9 @@ def analytic_union_loss(tag: str, n: int, eps, target: int, parts) -> Fraction:
     distinct = set(int(i) for i in parts)
     if not distinct:
         raise ValueError("a union predictor has at least one part")
+    if not all(0 <= i < n for i in distinct):
+        raise ValueError(f"union parts must be class indices in 0..{n - 1}, "
+                         f"got {sorted(distinct)}")
     wrong = distinct - {target}
     m = len(wrong)
     if tag == "appJ":

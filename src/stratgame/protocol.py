@@ -260,36 +260,6 @@ class Learner:
         return None
 
 
-class ConstantLearner(Learner):
-    """Plays one fixed predictor forever; tests use it as a stand-in learner."""
-
-    name = "constant"
-    conservative = True
-    requires = Setting.BLIND
-    exposes = Exposure.DETERMINISTIC
-
-    def __init__(self, predictor: Hypothesis):
-        self.predictor = predictor
-
-    def reset(self, hclass, space, setting, rng):
-        pass
-
-    def choose(self, context):
-        return self.predictor
-
-    def observe(self, feedback):
-        pass
-
-    def finalize(self):
-        return self.predictor
-
-    def predictor_distribution(self):
-        return [(self.predictor, 1.0)]
-
-    def state_version(self):
-        return 0
-
-
 class LearnerView:
     """What an adaptive adversary is allowed to see of the learner.
 

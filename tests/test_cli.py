@@ -46,9 +46,10 @@ def test_run_with_config_file_and_override(tmp_path, capsys):
     assert code == 1
 
 
-def test_missing_required_flags():
-    with pytest.raises(SystemExit):
-        main(["run", "--n", "4"])
+def test_missing_required_flags(capsys):
+    assert main(["run", "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: an experiment needs at least --env and --learner\n"
 
 
 def test_oracle_subcommand(capsys):
@@ -91,6 +92,14 @@ def test_oracle_bad_eps_exits_2_with_one_line(capsys, eps):
      "target must be in 0..4, got 9"),
     (["--env", "appI", "--n", "5", "--eps", "1/10", "--target", "-1", "--indices", "0"],
      "target must be in 0..4, got -1"),
+    (["--env", "appJ", "--n", "5", "--eps", "0.01", "--indices", "-1"],
+     "--indices must be class indices in 0..4, got '-1'"),
+    (["--env", "appK", "--n", "5", "--eps", "0.01", "--indices", "-1"],
+     "--indices must be class indices in 0..4, got '-1'"),
+    (["--env", "appG", "--n", "5", "--eps", "0.01", "--indices", "0,5"],
+     "--indices must be class indices in 0..4, got '0,5'"),
+    (["--env", "appI", "--n", "5", "--eps", "0.01", "--indices", "1,x"],
+     "--indices must be a comma list of integers, got '1,x'"),
 ])
 def test_oracle_out_of_range_exits_2_with_one_line(capsys, argv, message):
     assert main(["oracle"] + argv) == 2
@@ -98,6 +107,23 @@ def test_oracle_out_of_range_exits_2_with_one_line(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("region,message", [
+    ([], "one of the arguments --indices --all-negative --positive-at-anchor is required"),
+    (["--indices", "1", "--all-negative"],
+     "argument --all-negative: not allowed with argument --indices"),
+    (["--positive-at-anchor", "--all-negative"],
+     "argument --all-negative: not allowed with argument --positive-at-anchor"),
+])
+def test_oracle_needs_exactly_one_region_flag(capsys, region, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--env", "appJ", "--n", "5", "--eps", "0.01"] + region)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"stratgame oracle: error: {message}"]
 
 
 def test_sweep_subcommand(tmp_path):
@@ -133,6 +159,13 @@ def test_verify_rejects_unknown_criterion_before_any_runs(monkeypatch, capsys, o
     assert main(["verify", "--only", only]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: no criterion") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("only", ["x", "3,y"])
+def test_verify_names_the_flag_of_a_non_integer_criterion(capsys, only):
+    assert main(["verify", "--only", only]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --only must be a comma list of integers, got {only!r}\n"
 
 
 def test_unknown_learner_is_reported(capsys):

@@ -27,12 +27,13 @@ from stratgame.environments import (
 )
 from stratgame.learners import make_learner
 from stratgame.protocol import (
-    ConstantLearner,
     ContractViolation,
     LearnerView,
     Setting,
     run_online,
 )
+
+from helpers import ConstantLearner
 
 
 # ----------------------------------------------------------- star counter

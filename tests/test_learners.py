@@ -7,6 +7,7 @@ import pytest
 
 from stratgame.core.geometry import MatrixSpace, StarSpace, matrix_point, validate_metric
 from stratgame.core.predictors import Hypothesis, HypothesisClass
+from stratgame.core.response import Ball, ManipulationSet
 from stratgame.environments import make_environment
 from stratgame.learners import (
     BoostConfig,
@@ -19,8 +20,8 @@ from stratgame.learners import (
 )
 from stratgame.oracle import analytic_union_loss
 from stratgame.protocol import (
-    ConstantLearner,
     ContractViolation,
+    Exposure,
     Feedback,
     Learner,
     RealizabilityError,
@@ -29,6 +30,8 @@ from stratgame.protocol import (
     run_pac,
     run_round,
 )
+
+from helpers import ConstantLearner
 
 
 def line_space(n):
@@ -433,11 +436,40 @@ def test_boost_takes_its_name_from_the_base():
     assert make_learner("boost:mwmr", n=8, epsilon=0.1, delta=0.1).name == "boost:mwmr"
 
 
+def test_every_learner_declares_its_contract():
+    # (requires, manipulation, exposes, conservative) of every registry name;
+    # survivor keeps its base's contract, boost keeps the setting and the sets
+    X, XA, NONE = Setting.X_BEFORE, Setting.XD_AFTER, Setting.BLIND
+    NOTHING, DIST, DET = Exposure.NOTHING, Exposure.DISTRIBUTION, Exposure.DETERMINISTIC
+    table = {
+        "halving": (X, Ball, NOTHING, True),
+        "mwmr": (XA, Ball, DIST, True),
+        "random-union": (XA, Ball, DIST, False),
+        "seq-elim": (NONE, ManipulationSet, DET, True),
+        "survivor:halving": (X, Ball, NOTHING, True),
+        "survivor:mwmr": (XA, Ball, DIST, True),
+        "survivor:seq-elim": (NONE, ManipulationSet, DET, True),
+        "boost:halving": (X, Ball, NOTHING, False),
+        "boost:mwmr": (XA, Ball, NOTHING, False),
+        "boost:random-union": (XA, Ball, NOTHING, False),
+        "boost:seq-elim": (NONE, ManipulationSet, NOTHING, False),
+    }
+    for name, contract in table.items():
+        lrn = make_learner(name, n=8, epsilon=0.1, delta=0.1)
+        got = (lrn.requires, lrn.manipulation, lrn.exposes, lrn.conservative)
+        assert got == contract, name
+        assert type(got[2]) is Exposure and type(got[3]) is bool, name
+    with pytest.raises(ContractViolation, match="conservative base"):
+        make_learner("survivor:random-union", n=8, epsilon=0.1, delta=0.1)
+
+
 def test_make_learner_registry_errors():
     with pytest.raises(KeyError):
         make_learner("gradient-descent")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown learner 'survivor:unknown'"):
         make_learner("survivor:unknown")
+    with pytest.raises(KeyError, match="unknown learner 'boost:'"):
+        make_learner("boost:")
     with pytest.raises(ValueError):
         make_learner("survivor:seq-elim")  # missing epsilon/delta
     with pytest.raises(ValueError):

@@ -215,6 +215,14 @@ def test_oracles_reject_eps_and_target_outside_the_family(tag, eps, target, mess
         analytic_union_loss(tag, 5, eps, target, (0,))
 
 
+@pytest.mark.parametrize("parts", [(7,), (5,), (-1,), (0, 5)])
+def test_closed_form_rejects_parts_outside_the_class(parts):
+    message = f"union parts must be class indices in 0..4, got {sorted(set(parts))}"
+    for tag in ("appG", "appI", "appJ", "appK"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            analytic_union_loss(tag, 5, Fraction(1, 100), 0, parts)
+
+
 def _reference_loss_rank(n, eps, target, region, alpha=Fraction(1, 10)):
     """The appI oracle as it was: one Fraction added per permutation."""
     loss = Fraction(0)

@@ -17,9 +17,10 @@ from stratgame.core.predictors import (
     ALL_NEGATIVE,
     ClassDistanceIndex,
     HypothesisClass,
-    distance_to_hypothesis,
     predict,
 )
+
+from helpers import distance_to_hypothesis
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
+import pytest
 
 from stratgame.core.geometry import (
     MatrixSpace,
@@ -11,11 +12,14 @@ from stratgame.core.geometry import (
     matrix_point,
     validate_metric,
 )
-from stratgame.core.predictors import HypothesisClass, distance_to_hypothesis, predict
+from stratgame.core.predictors import HypothesisClass, predict
 from stratgame.core.response import Agent, Ball, Explicit, TieBreak, best_response, strategic_loss
-from stratgame.environments import make_environment
-from stratgame.learners import make_learner
+from stratgame.environments import make_environment, random_realizable_stream
+from stratgame.learners import MedianHalvingLearner, make_learner
 from stratgame.protocol import RngStreams, Setting, run_online, run_round
+
+from helpers import distance_to_hypothesis
+from test_learners import line_space
 
 
 @st.composite
@@ -118,26 +122,60 @@ def _examples(cases):
     return lambda test: functools.reduce(lambda t, c: example(*c)(t), cases, test)
 
 
-# fixed cases: seeds 0-39 with n = 8, 16, 32 in turn
-@_examples([(seed, 8 << (seed % 3)) for seed in range(40)])
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2_000), st.integers(4, 32))
-def test_halving_contracts_on_every_mistake(seed, n):
-    env = make_environment("random-realizable", n, stream_space="star",
-                           target=n - 1)
-    src = env.source_for_run(seed, 80)
-    lrn = make_learner("halving")
+def _contraction_stream(metric, seed, n):
+    """An 80-agent realizable ball stream on the star (target n - 1) or on the
+    line metric of ``test_learners.line_space`` (target seed % n)."""
+    if metric == "star":
+        env = make_environment("random-realizable", n, stream_space="star",
+                               target=n - 1)
+        return env.source_for_run(seed, 80)
+    space, hclass = line_space(n)
+    return random_realizable_stream(space, hclass, seed % n, 80, seed)
+
+
+def _mistake_sizes(lrn, src, seed):
+    """(version space size before, after) on every mistake round, played in x-delta."""
     streams = RngStreams(seed)
     lrn.reset(src.hclass, src.space, Setting.X_BEFORE, streams.learner)
-    mistakes = 0
+    sizes = []
     for t, agent in enumerate(src.agents, start=1):
         before = len(lrn.alive_indices)
-        rec = run_round(agent, lrn, Setting.X_BEFORE, src.space,
-                        rng=streams.tie, t=t)
+        rec = run_round(agent, lrn, Setting.X_BEFORE, src.space, rng=streams.tie, t=t)
         if rec.mistake:
-            mistakes += 1
-            assert len(lrn.alive_indices) <= before // 2
-    assert mistakes <= math.ceil(math.log2(n))
+            sizes.append((before, len(lrn.alive_indices)))
+    return sizes
+
+
+class _FarthestHalving(MedianHalvingLearner):
+    """Halving's cut with the farthest alive member played instead of the median."""
+
+    def choose(self, context):
+        order = self.index.order(context)
+        self._last_choice = self.hclass[int(order[self._mask[order]][-1])]
+        return self._last_choice
+
+
+# fixed cases: star seeds 0-39 with n = 8, 16, 32 in turn, line seeds 0-39
+# with n = 5, 8, 16 in turn
+@_examples([("star", seed, 8 << (seed % 3)) for seed in range(40)]
+           + [("line", seed, (5, 8, 16)[seed % 3]) for seed in range(40)])
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("star", "line")), st.integers(0, 2_000), st.integers(4, 32))
+def test_halving_contracts_on_every_mistake(metric, seed, n):
+    sizes = _mistake_sizes(make_learner("halving"), _contraction_stream(metric, seed, n),
+                           seed)
+    assert all(after <= before // 2 for before, after in sizes)
+    assert len(sizes) <= math.ceil(math.log2(n))
+
+
+@pytest.mark.parametrize("n", [5, 8, 16])
+def test_farthest_choice_breaks_contraction_on_line_streams(n):
+    # the contraction test binds on the median rule: playing the farthest
+    # member keeps more than half of the version space after some mistake
+    for seed in range(10):
+        sizes = _mistake_sizes(_FarthestHalving(), _contraction_stream("line", seed, n),
+                               seed)
+        assert any(after > before // 2 for before, after in sizes), seed
 
 
 @settings(max_examples=15, deadline=None)

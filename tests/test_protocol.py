@@ -12,7 +12,6 @@ from stratgame.core.response import Agent, Ball, TieBreak, strategic_loss
 from stratgame.environments import make_environment
 from stratgame.learners import make_learner
 from stratgame.protocol import (
-    ConstantLearner,
     ContractViolation,
     Learner,
     RealizabilityError,
@@ -23,6 +22,8 @@ from stratgame.protocol import (
     run_online,
     run_round,
 )
+
+from helpers import ConstantLearner
 
 
 @pytest.fixture
