@@ -176,7 +176,9 @@ def cmd_oracle(args) -> int:
     if args.all_negative:
         region_points = []
     elif args.positive_at_anchor:
-        anchor = ("origin",) if args.env in ("appG", "appI") else ("idx", 0)
+        if args.env == "appI":
+            raise ValueError("--positive-at-anchor: appI has no anchor point")
+        anchor = ("origin",) if args.env == "appG" else ("idx", 0)
         region_points = [anchor]
     else:
         idx = _int_list(args.indices, "--indices")

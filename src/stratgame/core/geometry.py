@@ -87,6 +87,17 @@ def shuffled_range(rng: random.Random, n: int) -> list:
     return vals
 
 
+def randbelow(rng: random.Random, m: int) -> int:
+    """``rng.randrange(m)`` for m >= 1, by the same draws and rejection rule
+    as ``shuffled_range``, so the value and the rng state afterwards match."""
+    getrandbits = rng.getrandbits
+    k = m.bit_length()
+    j = getrandbits(k)
+    while j >= m:
+        j = getrandbits(k)
+    return j
+
+
 class MetricSpace:
     """A point universe with a distance oracle.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core.geometry import TOL
+from .core.geometry import TOL, randbelow
 from .core.response import Ball, ManipulationSet
 from .protocol import ContractViolation, Exposure, Learner, RealizabilityError, Setting
 
@@ -126,14 +126,14 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
     exposes = Exposure.DISTRIBUTION
 
     def choose(self, context):
-        chosen = self.alive[self.rng.randrange(len(self.alive))]
-        self._last_choice = self.hclass.union((chosen,))
+        alive = self.alive
+        self._last_choice = self.hclass[alive[randbelow(self.rng, len(alive))]]
         return self._last_choice
 
     def skip(self, m):
         super().skip(m)
         for _ in range(m):
-            self.rng.randrange(1)  # choose's draw, which may read the stream repeatedly
+            randbelow(self.rng, 1)  # choose's draw, which may read the stream repeatedly
 
     def predictor_distribution(self):
         p = 1.0 / len(self.alive)

@@ -301,7 +301,8 @@ class RngStreams:
 def _check_recovery(space, agent, f, delta, y_hat, t):
     # With x in hand, the manipulated feature of a ball agent is recoverable
     # from y_hat alone: the closest positive point if predicted positive, x
-    # itself otherwise.  A missed positive must also have f out of reach.
+    # itself otherwise.  A stay must also have f out of reach, whatever the
+    # label: a wrong stay hides a missed positive or a false positive.
     # y_hat is predict(f, delta), so y_hat == 1 puts delta in f.positive and
     # the loop over f.positive meets d(x, delta) on its way to the minimum; on
     # a one-point region delta is that point, so there is nothing to compare.
@@ -323,27 +324,36 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
     elif delta != x:
         raise RecoveryError(t, f"predicted negative but the agent moved from {x!r} "
                                f"to {delta!r}")
-    elif agent.y == 1 and any(space.dist(x, p) <= agent.u.radius + TOL
-                              for p in f.positive):
-        raise RecoveryError(t, f"predicted negative but a positive point is within "
-                               f"reach of {x!r}")
+    else:
+        reach = agent.u.radius + TOL
+        dist = space.dist
+        for p in f.positive:
+            if dist(x, p) <= reach:
+                raise RecoveryError(t, f"predicted negative but a positive point is "
+                                       f"within reach of {x!r}")
 
 
-def _respond(space, agent, f, setting, tie, rng, t):
+def _respond(space, agent, f, setting, tie, rng, t, memo=None):
     """Best response to f and f's prediction; checks recovery on ball rounds revealing x."""
+    if memo is not None:
+        hit = memo.get(f.positive)
+        if hit is not None:
+            return hit
     delta = best_response(space, agent, f, tie, rng)
     y_hat = predict(f, delta)
     if setting.reveals_x and isinstance(agent.u, Ball):
         _check_recovery(space, agent, f, delta, y_hat, t)
+    if memo is not None:
+        memo[f.positive] = delta, y_hat
     return delta, y_hat
 
 
 def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpace,
               tie: TieBreak = TieBreak.FIXED_LOWEST,
-              rng: random.Random | None = None, t: int = 1) -> Feedback:
+              rng: random.Random | None = None, t: int = 1, memo=None) -> Feedback:
     """Play one round: choose, respond, observe; return the feedback observed."""
     f = learner.choose(agent.x if setting.reveals_x_before else None)
-    delta, y_hat = _respond(space, agent, f, setting, tie, rng, t)
+    delta, y_hat = _respond(space, agent, f, setting, tie, rng, t, memo)
     feedback = build_feedback(setting, t, f, agent, delta, y_hat)
     learner.observe(feedback)
     return feedback
@@ -404,12 +414,16 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     target, or, when the source declares none, by tracking the set of
     consistent class members.  Agents are immutable values, so an object
     emitted again on the next round (an adaptive adversary repeats its agent
-    until the learner's state changes) keeps its verdict and is not
-    checked again.  On a non-adaptive source with a declared
-    target, rounds on which the learner is ``settled`` on the target are
-    skipped: ``skip(m)`` replaces m ``choose``/``observe`` calls, and each
-    skipped round runs the played round's response step on the settled
-    predictor, then checks that it predicts the label (``RecoveryError``).
+    until the learner's state changes) keeps its verdict and is not checked
+    again.  Under fixed tie-breaking it also reuses its response: from its
+    second round on, each positive region played against it gets one checked
+    ``(delta, y_hat)``, kept until a new object arrives; a uniform tie draw
+    reads the tie stream, so under ``UNIFORM_RANDOM`` every round responds
+    afresh.  On a non-adaptive source with a declared target, rounds on
+    which the learner is ``settled`` on the target are skipped: ``skip(m)``
+    replaces m ``choose``/``observe`` calls, and each skipped round runs the
+    played round's response step on the settled predictor, then checks that
+    it predicts the label (``RecoveryError``).
     ``record`` decides only what is kept: every round's ``Feedback``
     ("full") or the mistake count ("counts").
     """
@@ -433,10 +447,16 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     may_skip = target is not None and getattr(source, "kind", None) != "adaptive"
     skipping = 0  # rounds left in the current skip, played with f
     checked = None  # the last agent object that passed the realizability check
+    may_memo = tie is TieBreak.FIXED_LOWEST  # a uniform tie draw reads the tie stream
+    memo = None  # the repeated agent's checked (delta, y_hat) by positive region
 
     for t in range(1, T + 1):
         agent = next_agent(t)
-        if agent is not checked:  # an agent is immutable, so its verdict stands
+        if agent is checked:  # an agent is immutable, so its verdict stands
+            if memo is None and may_memo:
+                memo = {}
+        else:
+            memo = None
             if target is not None and strategic_loss(space, target, agent) != 0:
                 raise RealizabilityError(
                     t, "declared target misclassifies the emitted agent")
@@ -454,13 +474,13 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                 learner.skip(skipping)
         if skipping:
             skipping -= 1
-            delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t)
+            delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t, memo)
             if y_hat != agent.y:
                 raise RecoveryError(t, "the declared target mispredicts the label")
             if full:
                 transcript.rounds.append(build_feedback(setting, t, f, agent, delta, y_hat))
             continue
-        fb = run_round(agent, learner, setting, space, tie, tie_rng, t)
+        fb = run_round(agent, learner, setting, space, tie, tie_rng, t, memo)
         if fb.mistake:
             transcript.mistakes += 1
         if full:

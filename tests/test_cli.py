@@ -75,6 +75,14 @@ def test_oracle_anchor(capsys):
     assert "3/25" in capsys.readouterr().out  # 6 eps
 
 
+def test_oracle_anchor_on_appI_exits_2_with_one_line(capsys):
+    code = main(["oracle", "--env", "appI", "--n", "5", "--eps", "0.01",
+                 "--positive-at-anchor"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --positive-at-anchor: appI has no anchor point\n")
+
+
 @pytest.mark.parametrize("eps", ["1/0", "abc"])
 def test_oracle_bad_eps_exits_2_with_one_line(capsys, eps):
     code = main(["oracle", "--env", "appK", "--n", "5", "--eps", eps, "--indices", "0"])

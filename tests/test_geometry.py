@@ -17,6 +17,7 @@ from stratgame.core.geometry import (
     basis,
     matrix_point,
     perm_point,
+    randbelow,
     scaled_basis,
     shuffled_range,
     validate_metric,
@@ -143,6 +144,17 @@ def test_shuffled_range_replays_random_shuffle():
                     f"shuffled_range no longer replays random.shuffle on Python "
                     f"{sys.version.split()[0]} (n={n}, seed={seed})")
             assert ours.getstate() == ref.getstate(), (n, seed)
+
+
+def test_randbelow_replays_randrange():
+    # m = 1 still reads the stream: that is the draw mwmr's skip replays
+    for seed in range(5):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for m in range(1, 301):
+            assert randbelow(ours, m) == ref.randrange(m), (
+                f"randbelow no longer replays randrange on Python "
+                f"{sys.version.split()[0]} (m={m}, seed={seed})")
+            assert ours.getstate() == ref.getstate(), (m, seed)
 
 
 def test_matrix_space_from_metric_and_errors():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -343,6 +344,8 @@ def test_recovery_identity_holds_on_ball_runs(star5):
     (Agent(matrix_point(2), Ball(2.0), 1), (0, 1), matrix_point(1), "farther"),
     # a positive that stays at the hub although spoke 1 is within reach
     (Agent(matrix_point(0), Ball(1.0), 1), (0,), matrix_point(0), "within reach"),
+    # a negative that stays likewise: the stay hides a false positive
+    (Agent(matrix_point(0), Ball(1.0), -1), (0,), matrix_point(0), "within reach"),
 ])
 def test_broken_best_response_raises_recovery_error(monkeypatch, star5, agent,
                                                     parts, wrong, message):
@@ -657,3 +660,120 @@ def test_counts_runs_match_full_runs_on_the_families(monkeypatch, env_name, name
             lambda: make_learner(name, n=6, epsilon=0.1, delta=0.2, base_rounds=300),
             setting, 900, seed)
     assert skipped > 0
+
+
+class _FreshCopies:
+    """An adaptive source that re-emits each agent of ``source`` as a new
+    object, so no agent object is ever played twice."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def __getattr__(self, name):
+        return getattr(self.source, name)
+
+    def fresh(self):
+        adv = self.source.fresh()
+        return SimpleNamespace(next_agent=lambda view: _copy(adv.next_agent(view)))
+
+
+def _copy(agent):
+    return Agent(agent.x, agent.u, agent.y)
+
+
+def _count_responses(monkeypatch):
+    from stratgame import protocol
+
+    calls = []
+    real = protocol.best_response
+
+    def counted(space, agent, *rest):
+        calls.append(agent)
+        return real(space, agent, *rest)
+
+    monkeypatch.setattr(protocol, "best_response", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["mwmr", "random-union"])
+def test_reused_responses_leave_the_run_as_it_was(monkeypatch, name):
+    # the probing adversary repeats each agent object until the learner's
+    # state changes; fresh copies of the same agents leave the memo unused
+    from stratgame import protocol
+
+    made = []
+
+    class Recorded(RngStreams):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(protocol, "RngStreams", Recorded)
+    calls = _count_responses(monkeypatch)
+    src = make_environment("appE", 8).source_for_run(0, 400)
+    for seed in range(3):
+        out, responses = [], []
+        for source in (src, _FreshCopies(src)):
+            calls.clear()
+            tr = run_online(source, make_learner(name), Setting.XD_AFTER, 400, seed)
+            s = made[-1]
+            out.append((tr.to_jsonl(), tr.mistakes, s.learner.getstate(),
+                        s.tie.getstate(), s.estimate.getstate()))
+            responses.append(len(calls))
+        assert out[0] == out[1]
+        assert responses[0] < responses[1] == 400
+
+
+class _Cycling(ConstantLearner):
+    """Plays the given predictors in turn, whatever it observes."""
+
+    def __init__(self, predictors):
+        self.predictors = predictors
+        self.t = 0
+
+    def choose(self, context):
+        self.t += 1
+        return self.predictors[(self.t - 1) % len(self.predictors)]
+
+
+@pytest.mark.parametrize("fresh,responses", [(False, 4), (True, 12)])
+def test_a_repeated_agent_responds_once_per_region(monkeypatch, star5, fresh, responses):
+    # three regions in turn over 12 rounds: round 1 responds before the memo
+    # exists, and from round 2 on each region is answered once
+    space, hclass = star5
+    regions = [hclass[0], hclass[1], hclass.union((2, 3))]
+    same = Agent(matrix_point(0), Ball(1.0), 1)
+    make = (lambda t: _copy(same)) if fresh else (lambda t: same)
+    calls = _count_responses(monkeypatch)
+    tr = run_online(_Scripted(star5, 0, make), _Cycling(regions), Setting.XD_AFTER, 12, 0)
+    assert len(calls) == responses
+    assert tr.mistakes == 0
+    assert [r.delta for r in tr.rounds] == [matrix_point(1), matrix_point(2),
+                                            matrix_point(3)] * 4
+
+
+def test_a_repeated_agent_draws_every_tie_under_uniform_ties(monkeypatch, star5):
+    # a tie draw reads the tie stream, so under uniform ties a repeated agent
+    # object reuses no response
+    from stratgame import protocol
+
+    made = []
+
+    class Recorded(RngStreams):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(protocol, "RngStreams", Recorded)
+    space, hclass = star5
+    same = Agent(matrix_point(0), Ball(1.0), 1)  # spokes 1 and 2 tie at distance 1
+    src = _Scripted(star5, 0, lambda t: same)
+    src.tie = TieBreak.UNIFORM_RANDOM
+    calls = _count_responses(monkeypatch)
+    tr = run_online(src, ConstantLearner(hclass.union((0, 1))), Setting.XD_AFTER, 40, 7)
+    ref = random.Random("7:tie")
+    spokes = [matrix_point(1 + ref.randrange(2)) for _ in range(40)]
+    assert len(calls) == 40
+    assert [r.delta for r in tr.rounds] == spokes
+    assert len(set(spokes)) == 2
+    assert made[-1].tie.getstate() == ref.getstate()
