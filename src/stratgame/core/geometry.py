@@ -90,6 +90,8 @@ def shuffled_range(rng: random.Random, n: int) -> list:
 def randbelow(rng: random.Random, m: int) -> int:
     """``rng.randrange(m)`` for m >= 1, by the same draws and rejection rule
     as ``shuffled_range``, so the value and the rng state afterwards match."""
+    if m < 1:  # getrandbits(0) is 0, so the loop below would never end
+        raise ValueError("empty range for randbelow")
     getrandbits = rng.getrandbits
     k = m.bit_length()
     j = getrandbits(k)
@@ -132,7 +134,7 @@ class MetricSpace:
     def sample_point(self, rng: random.Random) -> Point:
         if self.points is None:
             raise NotImplementedError
-        return self.points[rng.randrange(len(self.points))]
+        return self.points[randbelow(rng, len(self.points))]
 
     def diameter(self) -> float:
         raise NotImplementedError

@@ -101,8 +101,10 @@ class ClassDistanceIndex:
     and shared by every learner, seed and wrapper round on that pair.  Rows
     and orders are cached per point on enumerable spaces, where the same
     features recur, and the cached arrays are read-only so that no learner
-    can change them under the others.  Non-enumerable spaces (permutation
-    spheres) compute a fresh row on every call.
+    can change them under the others.  An order is cached without its row:
+    it sorts the cached row when there is one, else a fresh row that it
+    drops.  Non-enumerable spaces (permutation spheres) compute a fresh row
+    on every call.
     """
 
     def __init__(self, space: MetricSpace, hclass: HypothesisClass):
@@ -126,7 +128,10 @@ class ClassDistanceIndex:
         if self._cache:
             o = self._cache_orders.get(x)
             if o is None:
-                o = np.argsort(self.row(x), kind="stable")
+                r = self._cache_rows.get(x)
+                if r is None:
+                    r = self.space.dist_row(x, self.points)
+                o = np.argsort(r, kind="stable")
                 o.flags.writeable = False
                 self._cache_orders[x] = o
             return o

@@ -544,14 +544,14 @@ def random_realizable_stream(space: MetricSpace, hclass: HypothesisClass,
     law = radius_law or UniformRadius(0.0, space.diameter() * 1.25)
     rng = random.Random(f"{seed}:stream")
     target_point = hclass.points[target]
-    dist = space.dist
     agents = []
+    dist, sample_point, draw, append = space.dist, space.sample_point, law.draw, agents.append
     for _ in range(T):
-        x = space.sample_point(rng)
-        r = law.draw(rng)
+        x = sample_point(rng)
+        r = draw(rng)
         # singleton target: positive iff already at the point or within reach
         y = 1 if dist(x, target_point) <= r + TOL else -1
-        agents.append(Agent(x, Ball(r), y))
+        append(Agent(x, Ball(r), y))
     return SequenceSource(space, hclass, target, agents)
 
 

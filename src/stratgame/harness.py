@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .core.response import strategic_loss
@@ -302,6 +301,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Metrics
     check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
     seeds = list(cfg.seeds)
     if threads > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
         cfg_dict = asdict(cfg)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_seed_worker, [cfg_dict] * len(seeds), seeds,

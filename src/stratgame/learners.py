@@ -101,20 +101,20 @@ class MedianHalvingLearner(_VersionSpaceLearner):
         if setting is not Setting.X_BEFORE:
             raise ContractViolation("halving needs the original feature before choosing")
         super().reset(hclass, space, setting, rng)
-        self._mask = np.ones(len(hclass), dtype=bool)
+        self._mask = None  # the alive members, once some member is eliminated
 
     def choose(self, context):
         if context is None:
             raise ContractViolation("halving called without a revealed feature")
-        order = self.index.order(context)
-        ranked = order[self._mask[order]]
-        m = ranked.size
-        chosen = int(ranked[(m + 1) // 2 - 1])  # 1-indexed rank ceil(m/2)
+        ranked = self.index.order(context)
+        if self._mask is not None:
+            ranked = ranked[self._mask[ranked]]
+        chosen = int(ranked[(ranked.size + 1) // 2 - 1])  # 1-indexed rank ceil(m/2)
         self._last_choice = self.hclass.union((chosen,))
         return self._last_choice
 
     def _shrunk(self):
-        self._mask[:] = False
+        self._mask = np.zeros(len(self.hclass), dtype=bool)
         self._mask[self.alive] = True
 
 

@@ -73,14 +73,18 @@ def describe_region(tag: str, n: int, f) -> Region:
 
 
 def _check_family(tag: str, n: int, eps, target: int) -> None:
-    """Reject what the family itself rejects: eps outside 0 < c*eps <= 1, with
-    c = 3n on appG, 3(n-1) on appJ and 6 on appI and appK, and a target
-    outside 0..n-1.  eps is checked as given, before it becomes a Fraction,
-    so a float eps passes exactly when the family accepts it (1/33 on appJ at
-    n=12 does, though the Fraction of that float times 33 exceeds 1)."""
-    c = {"appG": 3 * n, "appI": 6, "appJ": 3 * (n - 1), "appK": 6}.get(tag)
+    """Reject what the family itself rejects: n below 2 on appG and appI or 1
+    on appJ and appK, eps outside 0 < c*eps <= 1, with c = 3n on appG, 3(n-1)
+    on appJ and 6 on appI and appK, and a target outside 0..n-1.  eps is
+    checked as given, before it becomes a Fraction, so a float eps passes
+    exactly when the family accepts it (1/33 on appJ at n=12 does, though the
+    Fraction of that float times 33 exceeds 1)."""
+    least, c = {"appG": (2, 3 * n), "appI": (2, 6), "appJ": (1, 3 * (n - 1)),
+                "appK": (1, 6)}.get(tag, (None, None))
     if c is None:
         raise KeyError(f"no exact oracle for family {tag!r}")
+    if n < least:
+        raise ValueError(f"{tag} needs n >= {least}, got n={n}")
     if eps <= 0 or c * eps > 1:
         raise ValueError(f"{tag} at n={n} needs 0 < eps and {c}*eps <= 1, got eps={eps}")
     if not 0 <= target < n:

@@ -298,11 +298,14 @@ class RngStreams:
         self.estimate = random.Random(f"{seed}:estimate")
 
 
-def _check_recovery(space, agent, f, delta, y_hat, t):
+def _check_recovery(space, agent, f, delta, y_hat, t, skipped=False):
     # With x in hand, the manipulated feature of a ball agent is recoverable
     # from y_hat alone: the closest positive point if predicted positive, x
     # itself otherwise.  A stay must also have f out of reach, whatever the
-    # label: a wrong stay hides a missed positive or a false positive.
+    # label: a wrong stay hides a missed positive or a false positive.  On a
+    # skipped round f is the declared target, which the realizability check
+    # already put out of reach of every negative agent, so a skipped negative
+    # round omits that stay test.
     # y_hat is predict(f, delta), so y_hat == 1 puts delta in f.positive and
     # the loop over f.positive meets d(x, delta) on its way to the minimum; on
     # a one-point region delta is that point, so there is nothing to compare.
@@ -324,7 +327,7 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
     elif delta != x:
         raise RecoveryError(t, f"predicted negative but the agent moved from {x!r} "
                                f"to {delta!r}")
-    else:
+    elif not (skipped and agent.y == -1):
         reach = agent.u.radius + TOL
         dist = space.dist
         for p in f.positive:
@@ -333,7 +336,7 @@ def _check_recovery(space, agent, f, delta, y_hat, t):
                                        f"within reach of {x!r}")
 
 
-def _respond(space, agent, f, setting, tie, rng, t, memo=None):
+def _respond(space, agent, f, setting, tie, rng, t, memo=None, skipped=False):
     """Best response to f and f's prediction; checks recovery on ball rounds revealing x."""
     if memo is not None:
         hit = memo.get(f.positive)
@@ -342,7 +345,7 @@ def _respond(space, agent, f, setting, tie, rng, t, memo=None):
     delta = best_response(space, agent, f, tie, rng)
     y_hat = predict(f, delta)
     if setting.reveals_x and isinstance(agent.u, Ball):
-        _check_recovery(space, agent, f, delta, y_hat, t)
+        _check_recovery(space, agent, f, delta, y_hat, t, skipped)
     if memo is not None:
         memo[f.positive] = delta, y_hat
     return delta, y_hat
@@ -474,7 +477,7 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                 learner.skip(skipping)
         if skipping:
             skipping -= 1
-            delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t, memo)
+            delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t, memo, True)
             if y_hat != agent.y:
                 raise RecoveryError(t, "the declared target mispredicts the label")
             if full:

@@ -108,6 +108,16 @@ def test_oracle_bad_eps_exits_2_with_one_line(capsys, eps):
      "--indices must be class indices in 0..4, got '0,5'"),
     (["--env", "appI", "--n", "5", "--eps", "0.01", "--indices", "1,x"],
      "--indices must be a comma list of integers, got '1,x'"),
+    (["--env", "appJ", "--n", "0", "--eps", "0.01", "--all-negative"],
+     "appJ needs n >= 1, got n=0"),
+    (["--env", "appJ", "--n", "-3", "--eps", "0.01", "--all-negative"],
+     "appJ needs n >= 1, got n=-3"),
+    (["--env", "appG", "--n", "1", "--eps", "0.01", "--all-negative"],
+     "appG needs n >= 2, got n=1"),
+    (["--env", "appK", "--n", "0", "--eps", "0.01", "--positive-at-anchor"],
+     "appK needs n >= 1, got n=0"),
+    (["--env", "appI", "--n", "-3", "--eps", "0.01", "--all-negative"],
+     "appI needs n >= 2, got n=-3"),
 ])
 def test_oracle_out_of_range_exits_2_with_one_line(capsys, argv, message):
     assert main(["oracle"] + argv) == 2

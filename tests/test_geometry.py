@@ -157,6 +157,16 @@ def test_randbelow_replays_randrange():
             assert ours.getstate() == ref.getstate(), (m, seed)
 
 
+def test_sample_point_replays_randrange_and_rejects_an_empty_space():
+    for space in (StarSpace(40), ScaledBasisSpace(7)):
+        ours, ref = random.Random(3), random.Random(3)
+        for _ in range(200):
+            assert space.sample_point(ours) == space.points[ref.randrange(len(space.points))]
+        assert ours.getstate() == ref.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        MatrixSpace([], np.zeros((0, 0))).sample_point(random.Random(0))
+
+
 def test_matrix_space_from_metric_and_errors():
     pts = [matrix_point(i) for i in range(4)]
     m = MatrixSpace.from_metric(pts, lambda a, b: abs(a[1] - b[1]))

@@ -147,6 +147,33 @@ def test_halving_mistake_bound_and_contraction():
         assert 6 in lrn.alive_indices
 
 
+def _median_reference(lrn, x):
+    order = lrn.index.order(x)
+    mask = np.zeros(len(lrn.hclass), dtype=bool)
+    mask[list(lrn.alive_indices)] = True
+    ranked = order[mask[order]]
+    return int(ranked[(ranked.size + 1) // 2 - 1])
+
+
+@pytest.mark.parametrize("metric", ["star", "line"])
+def test_halving_choice_is_the_masked_median_before_and_after_a_shrink(metric):
+    if metric == "star":
+        space = StarSpace(64)
+        hclass = HypothesisClass([matrix_point(i) for i in range(1, 65)])
+    else:
+        space, hclass = line_space(64)
+    lrn = _reset(make_learner("halving"), hclass, space, Setting.X_BEFORE)
+    for removed in (None, 10, 41):
+        if removed is not None:
+            # a false positive at a member's own point removes that member alone
+            x = hclass.points[removed]
+            lrn.observe(Feedback(1, hclass[removed], -1, 1, x, x))
+            assert removed not in lrn.alive_indices
+        for x in space.points:
+            assert lrn.choose(x).parts == (_median_reference(lrn, x),)
+    assert len(lrn.alive_indices) == 62
+
+
 # ------------------------------------------------------------------------ mwmr
 
 

@@ -134,3 +134,18 @@ def test_distance_index_caches_on_enumerable_spaces():
     r1 = index.row(basis(2))
     r2 = index.row(basis(2))
     assert r1 is r2
+
+
+def test_distance_index_caches_orders_without_their_rows(star8):
+    space, hclass = star8
+    for x in (matrix_point(0), matrix_point(3)):
+        index = ClassDistanceIndex(space, hclass)
+        expect = np.argsort(space.dist_row(x, hclass.points), kind="stable")
+        order = index.order(x)
+        assert np.array_equal(order, expect) and not order.flags.writeable
+        assert index.order(x) is order
+        assert index._cache_rows == {}  # the sorted row was not kept
+        row = index.row(x)
+        assert index.row(x) is row and not row.flags.writeable
+        assert np.array_equal(row, space.dist_row(x, hclass.points))
+        assert index.order(x) is order

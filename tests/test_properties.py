@@ -150,8 +150,10 @@ class _FarthestHalving(MedianHalvingLearner):
     """Halving's cut with the farthest alive member played instead of the median."""
 
     def choose(self, context):
-        order = self.index.order(context)
-        self._last_choice = self.hclass[int(order[self._mask[order]][-1])]
+        ranked = self.index.order(context)
+        if self._mask is not None:
+            ranked = ranked[self._mask[ranked]]
+        self._last_choice = self.hclass[int(ranked[-1])]
         return self._last_choice
 
 

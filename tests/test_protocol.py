@@ -494,6 +494,29 @@ def test_skipped_rounds_keep_the_recovery_check(monkeypatch, star5, record):
     assert len(chosen) == 1
 
 
+class _CountingStar(StarSpace):
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = []
+
+    def dist(self, a, b):
+        self.calls.append((a, b))
+        return super().dist(a, b)
+
+
+@pytest.mark.parametrize("record", ["full", "counts"])
+def test_a_skipped_negative_round_measures_the_target_once_per_check(star5, record):
+    # realizability already put the target out of reach of a negative agent,
+    # so the stay check adds no distance: one for realizability, one for the
+    # best response
+    space = _CountingStar(5)
+    later = Agent(matrix_point(1), Ball(1.0), -1)
+    src, learner, chosen = _collapse_then((space, star5[1]), later)
+    transcript = run_online(src, learner, Setting.X_BEFORE, 5, 0, record=record)
+    assert len(chosen) == 1 and transcript.mistakes == 1
+    assert [c for c in space.calls if c[0] == later.x] == [(later.x, matrix_point(5))] * 2
+
+
 def test_skipped_rounds_check_the_label(monkeypatch, star5):
     # a response that wrongly stays put makes the target err; with x revealed
     # the recovery check sees that the target was within reach
