@@ -102,9 +102,8 @@ class ClassDistanceIndex:
     and orders are cached per point on enumerable spaces, where the same
     features recur, and the cached arrays are read-only so that no learner
     can change them under the others.  An order is cached without its row:
-    it sorts the cached row when there is one, else a fresh row that it
-    drops.  Non-enumerable spaces (permutation spheres) compute a fresh row
-    on every call.
+    it sorts a fresh row that it drops.  Non-enumerable spaces (permutation
+    spheres) compute a fresh row on every call.
     """
 
     def __init__(self, space: MetricSpace, hclass: HypothesisClass):
@@ -128,10 +127,7 @@ class ClassDistanceIndex:
         if self._cache:
             o = self._cache_orders.get(x)
             if o is None:
-                r = self._cache_rows.get(x)
-                if r is None:
-                    r = self.space.dist_row(x, self.points)
-                o = np.argsort(r, kind="stable")
+                o = np.argsort(self.space.dist_row(x, self.points), kind="stable")
                 o.flags.writeable = False
                 self._cache_orders[x] = o
             return o
