@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
 )
 from .learners import learner_names
-from .oracle import analytic_union_loss, exact_loss
+from .oracle import analytic_union_loss, check_family, exact_loss
 from .protocol import ContractViolation, RealizabilityError, RecoveryError, Setting
 
 # choices and help of the experiment flags beyond their name and type
@@ -173,6 +173,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     eps = _parse_eps(args.eps)
+    check_family(args.env, args.n, eps, args.target)  # a bad --n is named before --indices
     if args.all_negative:
         region_points = []
     elif args.positive_at_anchor:

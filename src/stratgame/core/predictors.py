@@ -102,8 +102,9 @@ class ClassDistanceIndex:
     and orders are cached per point on enumerable spaces, where the same
     features recur, and the cached arrays are read-only so that no learner
     can change them under the others.  An order is cached without its row:
-    it sorts a fresh row that it drops.  Non-enumerable spaces (permutation
-    spheres) compute a fresh row on every call.
+    it sorts a fresh row that it drops, and it is kept as int32, half the
+    bytes of argsort's int64 indices.  Non-enumerable spaces (permutation
+    spheres) compute a fresh row and order on every call.
     """
 
     def __init__(self, space: MetricSpace, hclass: HypothesisClass):
@@ -127,7 +128,7 @@ class ClassDistanceIndex:
         if self._cache:
             o = self._cache_orders.get(x)
             if o is None:
-                o = np.argsort(self.space.dist_row(x, self.points), kind="stable")
+                o = np.argsort(self.space.dist_row(x, self.points), kind="stable").astype(np.int32)
                 o.flags.writeable = False
                 self._cache_orders[x] = o
             return o

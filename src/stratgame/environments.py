@@ -56,15 +56,16 @@ def _check_reach_separation(space: PermutationSphereSpace) -> None:
 def _spot_check(family, key) -> None:
     """Verify the declared target never loses on this family.
 
-    Exact over the support when enumerable, a 1e4-sample check otherwise;
-    memoized per parameter set so repeated construction stays cheap.
+    Exact over every atom when enumerable, streamed so that none is kept; a
+    1e4-sample check otherwise.  Memoized per parameter set so repeated
+    construction stays cheap.
     """
     if key in _validated:
         return
     target = family.hclass.union((family.target,))
-    support = family.support()
-    if support is not None:
-        for agent, _ in support:
+    atoms = family.iter_support()
+    if atoms is not None:
+        for agent, _ in atoms:
             if strategic_loss(family.space, target, agent) != 0:
                 raise ParameterError(f"target misclassifies support atom {agent!r}")
     else:
@@ -79,10 +80,11 @@ def _spot_check(family, key) -> None:
 # ---------------------------------------------------------------------------
 # i.i.d. families
 #
-# The n! families build their support tuple on the first support() call (the
-# spot check makes it) and return that same tuple after; atoms share their
-# weights and, where equal, their points and agents, but each permutation
-# keeps its own atom, so population_loss sums the same terms as ever.
+# The n! families yield their atoms from one generator: the spot check streams
+# it, and the support tuple is built from it at the first support() call (the
+# exact referee's) and returned after; atoms share their weights and, where
+# equal, their points and agents, but each permutation keeps its own atom, so
+# population_loss sums the same terms as ever.
 
 
 class FiniteIIDSource:
@@ -127,7 +129,24 @@ class FiniteIIDSource:
         return self.atoms
 
 
-class SphereRadiusFamily:
+class _PermutationFamily:
+    """Base of the n! families: ``_atoms`` yields their (agent, weight) atoms,
+    one per permutation of the n coordinates, enumerable up to n = 8."""
+
+    _support = None
+
+    def iter_support(self):
+        """A fresh iterator over the atoms, in support order; None above n = 8."""
+        return self._atoms() if self.n <= 8 else None
+
+    def support(self):
+        """The atoms as one tuple, built at the first call and kept."""
+        if self._support is None and self.n <= 8:
+            self._support = tuple(self._atoms())
+        return self._support
+
+
+class SphereRadiusFamily(_PermutationFamily):
     """Sphere positives whose manipulation radius encodes the target.
 
     Mass 1 - 3n*eps sits on a radius-zero negative at the origin; the rest
@@ -161,7 +180,6 @@ class SphereRadiusFamily:
         self._origin_agent = Agent(ORIGIN, Ball(0.0), -1)
         self._ball_u = Ball(self.r_u)
         self._ball_l = Ball(self.r_l)
-        self._support = None
         if validate:
             _spot_check(self, ("appG", n, eps, target, alpha))
 
@@ -172,20 +190,15 @@ class SphereRadiusFamily:
         u = self._ball_u if vals[self.target] == 0 else self._ball_l
         return Agent(("perm", tuple(vals)), u, 1)
 
-    def support(self):
-        if self.n > 8:
-            return None
-        if self._support is None:
-            atoms = [(self._origin_agent, 1 - self.sphere_mass)]
-            w = self.sphere_mass / math.factorial(self.n)
-            for p in iter_permutations(self.n):
-                u = self._ball_u if p[self.target] == 0 else self._ball_l
-                atoms.append((Agent(("perm", p), u, 1), w))
-            self._support = tuple(atoms)
-        return self._support
+    def _atoms(self):
+        yield self._origin_agent, 1 - self.sphere_mass
+        w = self.sphere_mass / math.factorial(self.n)
+        for p in iter_permutations(self.n):
+            u = self._ball_u if p[self.target] == 0 else self._ball_l
+            yield Agent(("perm", p), u, 1), w
 
 
-class SphereRankFamily:
+class SphereRankFamily(_PermutationFamily):
     """Uniform sphere marginal with noisy labels; negatives reach exactly the
     singletons whose coordinate beats the target's.
 
@@ -217,7 +230,6 @@ class SphereRankFamily:
         # negative radius per target coordinate value v: reaches e_j iff p[j] > v
         self._neg_balls = [Ball(math.sqrt(1 + a2 - 2.0 * (v + 1) / z))
                            for v in range(n)]
-        self._support = None
         if validate:
             _spot_check(self, ("appI", n, eps, target, alpha))
 
@@ -230,19 +242,13 @@ class SphereRankFamily:
         vals = tuple(shuffled_range(rng, self.n))
         return self._agent(vals, rng.random() >= self.neg_mass)
 
-    def support(self):
-        if self.n > 8:
-            return None
-        if self._support is None:
-            atoms = []
-            nf = math.factorial(self.n)
-            w_pos, w_neg = (1 - self.neg_mass) / nf, self.neg_mass / nf
-            for p in iter_permutations(self.n):
-                x = ("perm", p)  # one point for both labels
-                atoms.append((Agent(x, self._pos_ball, 1), w_pos))
-                atoms.append((Agent(x, self._neg_balls[p[self.target]], -1), w_neg))
-            self._support = tuple(atoms)
-        return self._support
+    def _atoms(self):
+        nf = math.factorial(self.n)
+        w_pos, w_neg = (1 - self.neg_mass) / nf, self.neg_mass / nf
+        for p in iter_permutations(self.n):
+            x = ("perm", p)  # one point for both labels
+            yield Agent(x, self._pos_ball, 1), w_pos
+            yield Agent(x, self._neg_balls[p[self.target]], -1), w_neg
 
 
 class StarSpokeFamily:
@@ -286,8 +292,10 @@ class StarSpokeFamily:
         atoms.extend((a, w) for a in self._neg_agents)
         return atoms
 
+    iter_support = support  # n atoms at any n: nothing to stream
 
-class PrefixSetFamily:
+
+class PrefixSetFamily(_PermutationFamily):
     """Non-ball family: everyone starts at the hub with an explicit set.
 
     Positives may move anywhere; each negative's set holds the hub plus the
@@ -314,7 +322,6 @@ class PrefixSetFamily:
         self.neg_mass = 6 * eps
         self._hub = matrix_point(0)
         self._pos_agent = Agent(self._hub, Explicit(self.space.points), 1)
-        self._support = None
         if validate:
             _spot_check(self, ("appK", n, eps, target))
 
@@ -332,22 +339,17 @@ class PrefixSetFamily:
             return self._pos_agent
         return self._neg_agent(shuffled_range(rng, self.n))
 
-    def support(self):
-        if self.n > 8:
-            return None
-        if self._support is None:
-            atoms = [(self._pos_agent, 1 - self.neg_mass)]
-            w = self.neg_mass / math.factorial(self.n)
-            # a negative is its prefix set, so n! orders share 2^(n-1) atoms
-            shared = {}
-            for order in iter_permutations(self.n):
-                prefix = frozenset(order[:order.index(self.target)])
-                atom = shared.get(prefix)
-                if atom is None:
-                    atom = shared[prefix] = (self._neg_agent(order), w)
-                atoms.append(atom)
-            self._support = tuple(atoms)
-        return self._support
+    def _atoms(self):
+        yield self._pos_agent, 1 - self.neg_mass
+        w = self.neg_mass / math.factorial(self.n)
+        # a negative is its prefix set, so n! orders share 2^(n-1) atoms
+        shared = {}
+        for order in iter_permutations(self.n):
+            prefix = frozenset(order[:order.index(self.target)])
+            atom = shared.get(prefix)
+            if atom is None:
+                atom = shared[prefix] = (self._neg_agent(order), w)
+            yield atom
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def describe_region(tag: str, n: int, f) -> Region:
     return Region(at_anchor, singles, sphere)
 
 
-def _check_family(tag: str, n: int, eps, target: int) -> None:
+def check_family(tag: str, n: int, eps, target: int) -> None:
     """Reject what the family itself rejects: n below 2 on appG and appI or 1
     on appJ and appK, eps outside 0 < c*eps <= 1, with c = 3n on appG, 3(n-1)
     on appJ and 6 on appI and appK, and a target outside 0..n-1.  eps is
@@ -118,7 +118,7 @@ def _rank_neg_reaches(p: tuple, q: tuple, v: int, alpha: Fraction, s: int) -> bo
 def exact_loss(tag: str, n: int, eps, target: int, f,
                alpha=Fraction(1, 10)) -> Fraction:
     """Exact population strategic loss of f on the named family (n <= 7)."""
-    _check_family(tag, n, eps, target)
+    check_family(tag, n, eps, target)
     eps = _as_fraction(eps)
     alpha = _as_fraction(alpha)
     region = describe_region(tag, n, f)
@@ -214,7 +214,7 @@ def analytic_union_loss(tag: str, n: int, eps, target: int, parts) -> Fraction:
     ``parts`` are class indices (duplicates allowed).  Derivations mirror the
     enumeration oracle, which cross-checks these at small n.
     """
-    _check_family(tag, n, eps, target)
+    check_family(tag, n, eps, target)
     eps = _as_fraction(eps)
     distinct = set(int(i) for i in parts)
     if not distinct:

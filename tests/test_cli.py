@@ -118,6 +118,10 @@ def test_oracle_bad_eps_exits_2_with_one_line(capsys, eps):
      "appK needs n >= 1, got n=0"),
     (["--env", "appI", "--n", "-3", "--eps", "0.01", "--all-negative"],
      "appI needs n >= 2, got n=-3"),
+    (["--env", "appJ", "--n", "0", "--eps", "0.01", "--indices", "0"],
+     "appJ needs n >= 1, got n=0"),
+    (["--env", "appK", "--n", "-2", "--eps", "0.01", "--indices", "0"],
+     "appK needs n >= 1, got n=-2"),
 ])
 def test_oracle_out_of_range_exits_2_with_one_line(capsys, argv, message):
     assert main(["oracle"] + argv) == 2

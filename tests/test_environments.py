@@ -14,6 +14,7 @@ from stratgame.core.geometry import (
 from stratgame.core.predictors import Hypothesis
 from stratgame.core.response import (Agent, Ball, Explicit, TieBreak, population_loss,
                                      strategic_loss)
+from stratgame import environments
 from stratgame.environments import (
     ParameterError,
     PrefixSetFamily,
@@ -509,10 +510,32 @@ def test_kept_support_equals_a_fresh_build_atom_by_atom(tag):
     for n in range(2, 8):
         for target in range(n):
             fam = _SUPPORT_FAMILIES[tag](n, 0.01, target=target, validate=False)
+            streamed = tuple(fam.iter_support())
             kept, fresh = fam.support(), _fresh_support(fam)
-            assert isinstance(kept, tuple) and len(kept) == len(fresh)
-            for (a, w), (b, v) in zip(kept, fresh):
+            assert isinstance(kept, tuple) and len(kept) == len(fresh) == len(streamed)
+            for (a, w), (b, v), (c, s) in zip(kept, fresh, streamed):
                 assert (a.x, a.u, a.y, w) == (b.x, b.u, b.y, v), (tag, n, target)
+                assert (a.x, a.u, a.y, w) == (c.x, c.u, c.y, s), (tag, n, target)
+
+
+@pytest.mark.parametrize("tag,eps", [("appG", 0.04), ("appI", 0.02), ("appK", 0.05)])
+def test_spot_check_streams_the_support_without_keeping_it(monkeypatch, tag, eps):
+    monkeypatch.setattr(environments, "_validated", set())
+    fam = _SUPPORT_FAMILIES[tag](8, eps, target=3)
+    assert len(environments._validated) == 1  # the exhaustive check ran
+    assert fam._support is None
+    assert len(fam.support()) == {"appG": 40321, "appI": 80640, "appK": 40321}[tag]
+
+
+@pytest.mark.parametrize("n", [8, 9])  # every atom streamed at 8, sampled at 9
+def test_spot_check_rejects_a_target_that_misses_an_atom(monkeypatch, n):
+    monkeypatch.setattr(environments, "_validated", set())
+    fam = SphereRadiusFamily(n, 0.03, target=0, validate=False)
+    # positives whose target coordinate is 1 now stop just short of the target
+    fam._ball_l = Ball(fam.r_l - 1e-3)
+    with pytest.raises(ParameterError, match="misclassifies"):
+        environments._spot_check(fam, ("appG", n, "shrunk"))
+    assert environments._validated == set()
 
 
 @pytest.mark.parametrize("tag", sorted(_SUPPORT_FAMILIES))
@@ -554,7 +577,7 @@ def test_large_sphere_family_has_no_enumerable_support():
     from stratgame.core.response import population_loss
 
     fam = SphereRadiusFamily(9, 0.01, target=0)
-    assert fam.support() is None
+    assert fam.support() is None and fam.iter_support() is None
     with pytest.raises(ValueError, match="monte_carlo_loss"):
         population_loss(fam.space, fam.hclass.union((0,)), fam)
 

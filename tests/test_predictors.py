@@ -143,6 +143,7 @@ def test_distance_index_caches_orders_without_their_rows(star8):
         expect = np.argsort(space.dist_row(x, hclass.points), kind="stable")
         order = index.order(x)
         assert np.array_equal(order, expect) and not order.flags.writeable
+        assert order.dtype == np.int32  # half the bytes of argsort's indices
         assert index.order(x) is order
         assert index._cache_rows == {}  # the sorted row was not kept
         row = index.row(x)
