@@ -1,0 +1,7 @@
+"""``python -m stratgame``: the command line interface without the console script."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,7 @@ class Ball(ManipulationSet):
     __slots__ = ("radius",)
 
     def __init__(self, radius: float):
-        if radius < 0:
+        if not radius >= 0:  # also rejects nan
             raise ValueError("ball radius must be nonnegative")
         self.radius = radius
 
@@ -111,15 +111,15 @@ def best_response(space: MetricSpace, agent: Agent, f: Hypothesis,
     """
     x = agent.x
     pos = f.positive
+    u = agent.u
+    if len(pos) == 1 and isinstance(u, Ball):  # compare with the point, no hashing
+        (p,) = pos
+        return p if x != p and space.dist(x, p) <= u.radius + TOL else x
     if x in pos:
         return x
-    u = agent.u
     if isinstance(u, Ball):
         reach = u.radius + TOL
         dist = space.dist
-        if len(pos) == 1:
-            (p,) = pos
-            return p if dist(x, p) <= reach else x
         near = []
         dmin = math.inf
         for p in pos:
@@ -156,10 +156,13 @@ def strategic_loss(space: MetricSpace, f: Hypothesis, agent: Agent) -> int:
     """
     x = agent.x
     pos = f.positive
-    if x in pos:
-        return 1 if agent.y == -1 else 0
     u = agent.u
-    if isinstance(u, Ball):
+    if len(pos) == 1 and isinstance(u, Ball):  # at the point, it meets the region
+        (p,) = pos
+        meets = x == p or space.dist(x, p) <= u.radius + TOL
+    elif x in pos:
+        return 1 if agent.y == -1 else 0
+    elif isinstance(u, Ball):
         reach = u.radius + TOL
         dist = space.dist
         meets = False

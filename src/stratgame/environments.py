@@ -493,8 +493,8 @@ class _ProbingState:
 
 class UniformRadius:
     def __init__(self, lo: float, hi: float):
-        if lo < 0 or hi < lo:
-            raise ParameterError("need 0 <= lo <= hi")
+        if not 0 <= lo <= hi < math.inf:  # also rejects nan
+            raise ParameterError(f"need finite 0 <= lo <= hi, got {lo!r}, {hi!r}")
         self.lo = lo
         self.hi = hi
 
@@ -504,8 +504,8 @@ class UniformRadius:
 
 class ConstantRadius:
     def __init__(self, r: float):
-        if r < 0:
-            raise ParameterError("radius must be nonnegative")
+        if not 0 <= r < math.inf:
+            raise ParameterError(f"radius must be finite and nonnegative, got {r!r}")
         self.r = r
 
     def draw(self, rng: random.Random) -> float:
@@ -514,11 +514,14 @@ class ConstantRadius:
 
 def parse_radius_law(text: str):
     kind, _, rest = text.partition(":")
-    if kind == "uniform":
-        lo, hi = rest.split(":")
-        return UniformRadius(float(lo), float(hi))
-    if kind == "const":
-        return ConstantRadius(float(rest))
+    try:
+        if kind == "uniform":
+            lo, hi = rest.split(":")
+            return UniformRadius(float(lo), float(hi))
+        if kind == "const":
+            return ConstantRadius(float(rest))
+    except ValueError as exc:  # ParameterError too: quote the spec
+        raise ParameterError(f"bad radius law {text!r}: {exc}") from None
     raise ParameterError(f"unknown radius law {text!r}")
 
 

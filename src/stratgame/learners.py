@@ -171,8 +171,9 @@ class RandomUnionLearner(_VersionSpaceLearner):
 
     def skip(self, m):
         super().skip(m)
-        for _ in range(m):
-            self.rng.random()  # k = 1 takes no draw; choices(alive, k=1) one
+        # k = 1 takes no draw; choices(alive, k=1) one random(): two 32-bit words
+        for lo in range(0, m, 1 << 16):  # as 64 bits of getrandbits, in chunks
+            self.rng.getrandbits(64 * min(m - lo, 1 << 16))
 
     def _shrunk(self):
         self._segments.append((self.rounds_seen + 1, tuple(self.alive)))

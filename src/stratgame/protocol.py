@@ -308,11 +308,9 @@ def _check_recovery(space, agent, f, delta, y_hat, t, skipped=False):
     # round omits that stay test.
     # y_hat is predict(f, delta), so y_hat == 1 puts delta in f.positive and
     # the loop over f.positive meets d(x, delta) on its way to the minimum; on
-    # a one-point region delta is that point, so there is nothing to compare.
+    # a one-point region delta is that point, so ``_respond`` does not call in.
     x = agent.x
     if y_hat == 1:
-        if len(f.positive) == 1:
-            return
         dist = space.dist
         dmin = math.inf
         for p in f.positive:
@@ -337,14 +335,16 @@ def _check_recovery(space, agent, f, delta, y_hat, t, skipped=False):
 
 
 def _respond(space, agent, f, setting, tie, rng, t, memo=None, skipped=False):
-    """Best response to f and f's prediction; checks recovery on ball rounds revealing x."""
+    """Best response to f and f's prediction; checks recovery on ball rounds
+    revealing x, except a predicted-positive one on a one-point region."""
     if memo is not None:
         hit = memo.get(f.positive)
         if hit is not None:
             return hit
     delta = best_response(space, agent, f, tie, rng)
     y_hat = predict(f, delta)
-    if setting.reveals_x and isinstance(agent.u, Ball):
+    if (setting.reveals_x and isinstance(agent.u, Ball)
+            and (y_hat == -1 or len(f.positive) != 1)):
         _check_recovery(space, agent, f, delta, y_hat, t, skipped)
     if memo is not None:
         memo[f.positive] = delta, y_hat

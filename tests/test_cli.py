@@ -1,6 +1,9 @@
 import argparse
 import json
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +338,8 @@ def test_file_bound_lines_accumulate_and_bound_flags_replace_them(tmp_path):
 
 
 _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
+_RR = ["--env", "random-realizable", "--n", "5", "--learner", "halving", "--setting",
+       "x-delta", "--T", "20", "--seeds", "2"]
 
 
 @pytest.mark.parametrize("argv,threads_env,message", [
@@ -366,6 +371,9 @@ _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
      "--seeds must be a count, lo:hi or a comma list of integers, got '3:x'"),
     (_APPJ + ["--T", "10", "--seeds", "1:2:3"], None, "got '1:2:3'"),
     (_APPJ + ["--T", "10", "--seeds", "0,y"], None, "got '0,y'"),
+    *((_RR + ["--radius-law", law], None, f"bad radius law '{law}'") for law in (
+        "const:nan", "uniform:nan:1", "uniform:0:inf", "const:inf", "uniform:1",
+        "uniform:1:2:3", "const:abc")),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):
@@ -421,3 +429,18 @@ def test_sweep_bad_value_exits_2_before_any_seed(monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: --values must be a comma list of integers, got '5,x'\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    # without the console script installed, ``python -m stratgame`` is the CLI
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "PATH": ""}
+    proc = subprocess.run([sys.executable, "-m", "stratgame", "--help"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: stratgame ")
+    proc = subprocess.run([sys.executable, "-m", "stratgame", "run"] + _RR
+                          + ["--radius-law", "uniform:1"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bad radius law 'uniform:1'")

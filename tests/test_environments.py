@@ -16,12 +16,14 @@ from stratgame.core.response import (Agent, Ball, Explicit, TieBreak, population
                                      strategic_loss)
 from stratgame import environments
 from stratgame.environments import (
+    ConstantRadius,
     ParameterError,
     PrefixSetFamily,
     ProbingAdversary,
     SphereRadiusFamily,
     SphereRankFamily,
     StarSpokeFamily,
+    UniformRadius,
     make_environment,
     parse_radius_law,
     random_realizable_stream,
@@ -407,8 +409,19 @@ def test_radius_law_parsing():
     draws = [law.draw(rng) for _ in range(100)]
     assert all(0.5 <= d <= 2.0 for d in draws)
     assert parse_radius_law("const:1.5").draw(rng) == 1.5
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown radius law 'poisson:3'"):
         parse_radius_law("poisson:3")
+    # malformed or non-finite specs: one ParameterError that quotes the spec
+    for spec in ("uniform:1", "uniform:1:2:3", "const:abc", "const:nan", "const:inf",
+                 "const:-1", "uniform:nan:1", "uniform:0:inf", "uniform:2:1"):
+        with pytest.raises(ParameterError, match=f"bad radius law '{spec}'"):
+            parse_radius_law(spec)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ParameterError, match="finite"):
+            UniformRadius(lo, hi)
+    for r in (math.nan, math.inf, -1.0):
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            ConstantRadius(r)
 
 
 def test_environment_registry():

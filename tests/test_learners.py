@@ -642,3 +642,16 @@ def test_skip_matches_correct_rounds(name):
     assert skipped > 0
     assert _state(skipper.finalize()) == _state(player.finalize())
     assert _state(skipper) == _state(player)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 50_000, 140_000])  # the last spans 3 chunks
+def test_random_union_skip_leaves_the_rng_of_m_random_calls(m):
+    # skip advances the stream in one getrandbits call per chunk instead of m
+    # random() calls; the state afterwards must be the same
+    space, hclass = line_space(4)
+    lrn = _reset(make_learner("random-union"), hclass, space, seed=7)
+    ref = random.Random(7)
+    for _ in range(m):
+        ref.random()
+    lrn.skip(m)
+    assert lrn.rng.getstate() == ref.getstate()

@@ -7,12 +7,15 @@ import hypothesis.strategies as st
 import pytest
 
 from stratgame.core.geometry import (
+    TOL,
     MatrixSpace,
+    ScaledBasisSpace,
     StarSpace,
+    basis,
     matrix_point,
     validate_metric,
 )
-from stratgame.core.predictors import HypothesisClass, predict
+from stratgame.core.predictors import Hypothesis, HypothesisClass, predict
 from stratgame.core.response import Agent, Ball, Explicit, TieBreak, best_response, strategic_loss
 from stratgame.environments import make_environment, random_realizable_stream
 from stratgame.learners import MedianHalvingLearner, make_learner
@@ -115,6 +118,79 @@ def test_strategic_loss_is_tie_policy_invariant(seed, n):
         r1 = best_response(space, agent, f, TieBreak.FIXED_LOWEST)
         r2 = best_response(space, agent, f, TieBreak.UNIFORM_RANDOM, rng)
         assert predict(f, r1) == predict(f, r2)
+
+
+def _frozenset_path(space, agent, f):
+    """(best response, strategic loss) by the general path over f.positive,
+    fixed ties: the reference for the one-point comparison."""
+    x, pos, u = agent.x, f.positive, agent.u
+    if x in pos:
+        return x, int(agent.y == -1)
+    if isinstance(u, Ball):
+        near = {p: space.dist(x, p) for p in pos}
+        near = {p: d for p, d in near.items() if d <= u.radius + TOL}
+        cand = [p for p, d in near.items() if d <= min(near.values()) + TOL]
+    else:
+        cand = list(u.members & pos)
+    meets = bool(cand)
+    return (min(cand) if meets else x), int(meets if agent.y == -1 else not meets)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_point_families():
+    """appG and appI (sphere balls at their reach radii) and appK (explicit sets)."""
+    return tuple(make_environment(name, 5, eps=0.02, target=2).family
+                 for name in ("appG", "appI", "appK"))
+
+
+def _one_point_agents(rng):
+    """(space, hclass, agent) on star, sphere and scaled-basis agents."""
+    for fam in _one_point_families():
+        yield fam.space, fam.hclass, fam.sample(rng)
+    star = StarSpace(6)
+    x = star.points[rng.randrange(7)]
+    u = Ball(rng.random() * 2.5) if rng.random() < 0.5 else Explicit(
+        {x} | {p for p in star.points if rng.random() < 0.4})
+    yield star, HypothesisClass(star.points[1:]), Agent(x, u, rng.choice((1, -1)))
+    sb = ScaledBasisSpace(4)
+    u = Ball(rng.choice((0.0, 0.1, rng.random() * 2)))
+    yield sb, HypothesisClass([basis(i) for i in range(4)]), Agent(
+        sb.points[rng.randrange(9)], u, rng.choice((1, -1)))
+
+
+def _radius_at(d):
+    """The largest radius r with r + TOL <= d; r + TOL == d where floats allow."""
+    r = d - TOL
+    while r + TOL > d:
+        r = math.nextafter(r, -math.inf)
+    while math.nextafter(r, math.inf) + TOL <= d:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_one_point_response_equals_the_frozenset_path(seed):
+    # a one-point region with a ball agent compares x with its point and
+    # measures one distance; verdicts must match the general path, at x on
+    # the point, exactly at radius + TOL and one ulp inside it
+    rng = random.Random(seed)
+    at_edge = 0
+    for space, hclass, agent in _one_point_agents(rng):
+        x = agent.x
+        for p in hclass.points + (x,):
+            f = Hypothesis((p,))
+            agents = [Agent(x, agent.u, y) for y in (1, -1)]
+            d = space.dist(x, p)
+            if isinstance(agent.u, Ball) and d > TOL:
+                r = _radius_at(d)
+                at_edge += r + TOL == d
+                agents += [Agent(x, Ball(s), y) for s in (r, math.nextafter(r, -math.inf))
+                           for y in (1, -1)]
+            for a in agents:
+                assert (best_response(space, a, f, TieBreak.FIXED_LOWEST),
+                        strategic_loss(space, f, a)) == _frozenset_path(space, a, f)
+    assert at_edge > 0
 
 
 def _examples(cases):

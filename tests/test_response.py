@@ -40,6 +40,8 @@ def test_agent_validation():
         Agent(matrix_point(0), Explicit([matrix_point(1)]), -1)
     with pytest.raises(ValueError):
         Ball(-0.5)
+    with pytest.raises(ValueError):
+        Ball(float("nan"))
 
 
 def test_best_response_stays_when_predicted_positive(star5):
