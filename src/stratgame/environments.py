@@ -416,7 +416,8 @@ class ProbingAdversary:
     all-negative mass of at least c gets a manipulable origin positive;
     otherwise it plants a negative at the scaled copy of the most likely
     positive basis direction, with radius 0.1 (reaching the basis point) off
-    target and 0 on target.
+    target and 0 on target.  Needs 0 < c <= 1; a learner that shows no exact
+    distribution is estimated from ``samples`` draws.
     """
 
     kind = "adaptive"
@@ -434,6 +435,11 @@ class ProbingAdversary:
         if not 0 <= self.target < n:
             raise ParameterError("target index out of range")
         self.c = 1.0 / (2 * (n + 2)) if c is None else c
+        if not 0 < self.c <= 1:  # also rejects nan
+            raise ParameterError(f"c must satisfy 0 < c <= 1, got {self.c!r}")
+        if not isinstance(samples, int) or samples < 1:
+            raise ParameterError(f"estimation samples must be a positive integer, "
+                                 f"got {samples!r}")
         self.samples = samples
         self.space = ScaledBasisSpace(n)
         self.hclass = HypothesisClass([basis(i) for i in range(n)])
@@ -455,6 +461,7 @@ class _ProbingState:
         p_allneg = 0.0
         p_probe = dict.fromkeys(self._probe_points, 0.0)
         weight = [0.0] * env.n
+        probes = p_probe.keys()
         for f, p in dist:
             pset = f.positive
             if not pset:
@@ -463,7 +470,7 @@ class _ProbingState:
             # walk the predictor's own points: class unions hold basis points
             # only, so they meet no probe, and each probe still sums its mass
             # in predictor order
-            if p_probe.keys().isdisjoint(pset):
+            if probes.isdisjoint(pset):
                 for pt in pset:
                     if pt[0] == "basis":
                         weight[pt[1]] += p
@@ -476,7 +483,7 @@ class _ProbingState:
                 return Agent(pt, Ball(0.0), -1)
         if p_allneg >= env.c - 1e-12:
             return Agent(ORIGIN, Ball(1.0), 1)
-        i_t = max(range(env.n), key=lambda i: (weight[i], -i))
+        i_t = weight.index(max(weight))  # the heaviest; the lowest index on a tie
         return Agent(scaled_basis(i_t), Ball(0.0 if i_t == env.target else 0.1), -1)
 
     def next_agent(self, view: LearnerView) -> Agent:

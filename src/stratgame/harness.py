@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .core.response import strategic_loss
 from .environments import make_environment
@@ -85,6 +85,27 @@ def _threads(threads: int | None) -> int:
 _env_cache: dict = {}
 
 
+# The environment parameters and the environments that read them; a random
+# stream reads alpha only on a sphere.
+_READERS = {"alpha": ("appG", "appI", "random-realizable"), "c": ("appE",),
+            "estimation_samples": ("appE",), "stream_space": ("random-realizable",),
+            "radius_law": ("random-realizable",)}
+
+
+def _check_read(cfg: ExperimentConfig) -> None:
+    """Reject a non-default environment parameter that the environment ignores."""
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if f.name not in _READERS or value == f.default:
+            continue
+        env, reads = cfg.env, cfg.env in _READERS[f.name]
+        if f.name == "alpha" and env == "random-realizable":
+            env, reads = f"{env} on {cfg.stream_space}", cfg.stream_space.startswith("sphere")
+        if not reads:
+            raise ValueError(f"{env} does not read {f.name}; leave it at "
+                             f"{f.default!r}, got {value!r}")
+
+
 def _environment(cfg: ExperimentConfig):
     args = dict(name=cfg.env, n=cfg.n, eps=cfg.family_eps(), target=cfg.target,
                 alpha=cfg.alpha, c=cfg.c, samples=cfg.estimation_samples,
@@ -93,7 +114,9 @@ def _environment(cfg: ExperimentConfig):
     env = _env_cache.get(key)
     if env is None:
         _env_cache.clear()
-        env = _env_cache[key] = make_environment(**args)
+        env = make_environment(**args)
+        _check_read(cfg)
+        _env_cache[key] = env
     return env
 
 

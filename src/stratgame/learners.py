@@ -118,6 +118,9 @@ class MedianHalvingLearner(_VersionSpaceLearner):
         self._mask[self.alive] = True
 
 
+_TOP_BIT_SET = bytes(range(128, 256))
+
+
 class RandomVersionSpaceLearner(_VersionSpaceLearner):
     """Uniform random alive hypothesis each round; eliminates on mistake rounds only."""
 
@@ -132,8 +135,15 @@ class RandomVersionSpaceLearner(_VersionSpaceLearner):
 
     def skip(self, m):
         super().skip(m)
-        for _ in range(m):
-            randbelow(self.rng, 1)  # choose's draw, which may read the stream repeatedly
+        # choose's randbelow(rng, 1) reads 32-bit words until one has its top
+        # bit clear (getrandbits(1) is word >> 31); each draw still due reads
+        # at least one word, so read that many at once, in chunks, and count
+        # the draws they end
+        getrandbits = self.rng.getrandbits
+        while m:
+            need = min(m, 1 << 16)
+            words = getrandbits(32 * need).to_bytes(4 * need, "little")
+            m -= len(words[3::4].translate(None, _TOP_BIT_SET))
 
     def predictor_distribution(self):
         p = 1.0 / len(self.alive)

@@ -422,11 +422,15 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     second round on, each positive region played against it gets one checked
     ``(delta, y_hat)``, kept until a new object arrives; a uniform tie draw
     reads the tie stream, so under ``UNIFORM_RANDOM`` every round responds
-    afresh.  On a non-adaptive source with a declared target, rounds on
-    which the learner is ``settled`` on the target are skipped: ``skip(m)``
-    replaces m ``choose``/``observe`` calls, and each skipped round runs the
-    played round's response step on the settled predictor, then checks that
-    it predicts the label (``RecoveryError``).
+    afresh.  On a source with a declared target, rounds on which the learner
+    is ``settled`` on the target are skipped: ``skip(m)`` replaces m
+    ``choose``/``observe`` calls, and each skipped round still draws its
+    agent, checks a new agent object for realizability, runs the played
+    round's response step on the settled predictor and checks that it
+    predicts the label (``RecoveryError``).  Adaptive sources skip too:
+    while settled, the learner's next choice is the target with certainty,
+    so all that an adversary reads through ``LearnerView`` (distribution,
+    estimate and version) is the same whether or not ``skip`` ran.
     ``record`` decides only what is kept: every round's ``Feedback``
     ("full") or the mistake count ("counts").
     """
@@ -447,7 +451,7 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     target = None if source.target is None else hclass[source.target]
     consistent = list(range(len(hclass))) if target is None else None
     tie_rng = streams.tie
-    may_skip = target is not None and getattr(source, "kind", None) != "adaptive"
+    may_skip = target is not None
     skipping = 0  # rounds left in the current skip, played with f
     checked = None  # the last agent object that passed the realizability check
     may_memo = tie is TieBreak.FIXED_LOWEST  # a uniform tie draw reads the tie stream

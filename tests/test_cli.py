@@ -340,6 +340,8 @@ def test_file_bound_lines_accumulate_and_bound_flags_replace_them(tmp_path):
 _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
 _RR = ["--env", "random-realizable", "--n", "5", "--learner", "halving", "--setting",
        "x-delta", "--T", "20", "--seeds", "2"]
+_APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n", "6",
+         "--T", "50", "--seeds", "2"]
 
 
 @pytest.mark.parametrize("argv,threads_env,message", [
@@ -374,6 +376,33 @@ _RR = ["--env", "random-realizable", "--n", "5", "--learner", "halving", "--sett
     *((_RR + ["--radius-law", law], None, f"bad radius law '{law}'") for law in (
         "const:nan", "uniform:nan:1", "uniform:0:inf", "const:inf", "uniform:1",
         "uniform:1:2:3", "const:abc")),
+    (_APPE + ["--c", "0"], None, "c must satisfy 0 < c <= 1, got 0.0"),
+    (_APPE + ["--c", "nan"], None, "c must satisfy 0 < c <= 1, got nan"),
+    (_APPE + ["--c", "1.5"], None, "c must satisfy 0 < c <= 1, got 1.5"),
+    (_APPE + ["--estimation-samples", "-3"], None,
+     "estimation samples must be a positive integer, got -3"),
+    (_APPE + ["--estimation-samples", "0"], None,
+     "estimation samples must be a positive integer, got 0"),
+    # a non-default parameter that the environment does not read
+    (_APPJ + ["--T", "1", "--seeds", "1", "--c", "0.3"], None,
+     "appJ does not read c; leave it at None, got 0.3"),
+    (_APPJ + ["--T", "1", "--seeds", "1", "--alpha", "5"], None,
+     "appJ does not read alpha; leave it at 0.1, got 5.0"),
+    (_APPJ + ["--T", "1", "--seeds", "1", "--estimation-samples", "7"], None,
+     "appJ does not read estimation_samples; leave it at 1000, got 7"),
+    (_APPJ + ["--T", "1", "--seeds", "1", "--radius-law", "uniform:1:2"], None,
+     "appJ does not read radius_law; leave it at None, got 'uniform:1:2'"),
+    (_APPE + ["--stream-space", "sphere"], None,
+     "appE does not read stream_space; leave it at 'star', got 'sphere'"),
+    (_APPE + ["--alpha", "0.2"], None, "appE does not read alpha"),
+    (["--env", "appG", "--learner", "random-union", "--n", "6", "--eps", "0.05",
+      "--T", "10", "--seeds", "2", "--c", "0.2"], None, "appG does not read c"),
+    (["--env", "star-ex42", "--learner", "seq-elim", "--n", "6", "--T", "5",
+      "--seeds", "2", "--estimation-samples", "5"], None,
+     "star-ex42 does not read estimation_samples"),
+    (_RR + ["--alpha", "0.3"], None,
+     "random-realizable on star does not read alpha; leave it at 0.1, got 0.3"),
+    (_RR + ["--c", "0.3"], None, "random-realizable does not read c"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):
@@ -394,6 +423,13 @@ def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+def test_a_random_stream_on_a_sphere_reads_alpha(capsys):
+    code = main(["run", "--env", "random-realizable", "--learner", "mwmr", "--n", "4",
+                 "--T", "5", "--seeds", "1", "--stream-space", "sphere", "--alpha", "0.3"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["config"]["alpha"] == 0.3
 
 
 def test_identical_runs_emit_identical_bytes(tmp_path):

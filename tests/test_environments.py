@@ -253,6 +253,43 @@ def test_probing_decision_matches_the_probe_by_probe_reference():
         assert new == old
 
 
+def test_probing_plant_matches_the_old_argmax_on_tied_and_untied_weights():
+    # the planted direction is the heaviest, the lowest index on a tie, as
+    # max(range(n), key=lambda i: (weight[i], -i)) picked it; c = 1 keeps the
+    # probe and origin branches out of the way
+    n = 6
+    env = make_environment("appE", n)
+    rng = random.Random(3)
+    dists = []
+    for _ in range(200):  # unions of basis points with dyadic masses: exact ties
+        k = rng.randint(1, 6)
+        dists.append([(env.hclass.union(tuple(rng.sample(range(n), rng.randint(1, 3)))),
+                       1 / k) for _ in range(k)])
+    for alive in ([0, 1, 2, 3, 4, 5], [1, 4, 5], [2, 3], [3]):
+        mwmr = make_learner("mwmr")  # uniform over alive: every alive weight ties
+        mwmr.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(1))
+        mwmr.alive = alive
+        dists.append(mwmr.predictor_distribution())
+        union = make_learner("random-union")  # sampled: mostly untied
+        union.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(1))
+        union.alive = alive
+        for seed in range(5):
+            dists.append(LearnerView(union, random.Random(seed)).distribution(300))
+    weights = []
+    for d in dists:
+        w = Counter()
+        for f, p in d:
+            for pt in f.positive:
+                w[pt] += p
+        weights.append(sorted(w.values(), reverse=True) + [-1.0])
+    assert sum(w[0] == w[1] for w in weights) >= 20
+    assert sum(w[0] != w[1] for w in weights) >= 20
+    for target in (0, 2, 5):
+        new, old = _decisions(n, dists, target=target, c=1.0)
+        assert new == old
+        assert all(x[0] == "sbasis" and y == -1 for x, r, y in new)
+
+
 def test_probing_forces_full_walk_of_mwmr():
     env = make_environment("appE", 8)
     counts = []

@@ -8,9 +8,10 @@ must re-pin the table on purpose: ``python tests/test_golden.py`` prints it.
 
 Full runs skip the learner on rounds where it is settled on the target, as
 counts runs do, so the hashes pin skipped rounds too.
-``test_every_non_adaptive_environment_skips`` keeps it that way: each
-environment with a declared target has a case and seed that skips, so a
-change that stops the skip fails there and not silently.
+``test_every_environment_with_a_target_skips`` keeps it that way: each
+environment with a declared target, the adaptive appE included, has a case
+and seed that skips, so a change that stops the skip fails there and not
+silently.
 """
 
 import hashlib
@@ -278,12 +279,15 @@ def test_transcripts_match_pins(env_key, learner_name, setting):
     assert got == GOLDEN[(env_key, learner_name, setting)]
 
 
-def test_every_non_adaptive_environment_skips():
+def test_every_environment_with_a_target_skips():
     non_adaptive = [key for key in ENVIRONMENTS
                     if _env(key).source_for_run(0, 1).kind != "adaptive"]
     assert non_adaptive == ["stream-star", "stream-basis", "stream-sphere",
                             "appG", "appI", "appJ", "appK"]
-    for key in non_adaptive:
+    with_target = [key for key in ENVIRONMENTS
+                   if _env(key).source_for_run(0, 1).target is not None]
+    assert with_target == non_adaptive + ["appE"]  # star-ex42 declares none
+    for key in with_target:
         skips = []
         for case in CASES:
             if case[0] == key:

@@ -5,7 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from stratgame.core.geometry import MatrixSpace, StarSpace, matrix_point, validate_metric
+from stratgame.core.geometry import (MatrixSpace, StarSpace, matrix_point, randbelow,
+                                     validate_metric)
 from stratgame.core.predictors import Hypothesis, HypothesisClass
 from stratgame.core.response import Ball, ManipulationSet
 from stratgame.environments import make_environment
@@ -655,3 +656,19 @@ def test_random_union_skip_leaves_the_rng_of_m_random_calls(m):
         ref.random()
     lrn.skip(m)
     assert lrn.rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("m", [1, 2, 33, 4096, 100_000])  # the last reads capped chunks
+def test_mwmr_skip_leaves_the_rng_of_m_randbelow_calls(m):
+    # skip reads the 32-bit words of all draws still due at once; the state
+    # afterwards must be the one m single draws, choose's randbelow(rng, 1), leave
+    space, hclass = line_space(4)
+    for seed in (7, 8):
+        lrn = _reset(make_learner("mwmr"), hclass, space, seed=seed)
+        lrn.alive = [2]
+        ref = random.Random(seed)
+        for _ in range(m):
+            randbelow(ref, 1)
+        lrn.skip(m)
+        assert lrn.rng.getstate() == ref.getstate()
+        assert lrn.rounds_seen == m and lrn.finalize() is hclass[2]
