@@ -22,7 +22,6 @@ from .core import (
     predict,
     scaled_basis,
     strategic_loss,
-    strategic_loss_randomized,
     validate_metric,
 )
 from .protocol import (

@@ -53,14 +53,20 @@ _FIELDS = {"bound" if f.name == "bounds" else f.name: f for f in fields(Experime
 def _parse_seeds(text: str) -> list:
     try:
         if "," in text:
-            return [int(s) for s in text.split(",") if s]
-        if ":" in text:
+            seeds = [int(s) for s in text.split(",") if s]
+        elif ":" in text:
             lo, hi = text.split(":")
-            return list(range(int(lo), int(hi)))
-        return list(range(int(text)))
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = list(range(int(text)))
     except ValueError:
         raise ValueError(f"--seeds must be a count, lo:hi or a comma list of "
                          f"integers, got {text!r}") from None
+    if not seeds:
+        raise ValueError(f"--seeds {text!r} selects no seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"--seeds {text!r} repeats a seed")
+    return seeds
 
 
 def _int_list(text: str, flag: str) -> list:
@@ -248,7 +254,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (KeyError, ValueError, ContractViolation, RealizabilityError,
             RecoveryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

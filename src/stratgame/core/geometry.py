@@ -149,6 +149,8 @@ class MatrixSpace(MetricSpace):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (len(points), len(points)):
             raise ValueError("distance matrix shape does not match point count")
+        if not np.array_equal(matrix, matrix.T, equal_nan=True):
+            raise ValueError("distance matrix is not symmetric")
         self.points = list(points)
         self.matrix = matrix
         self._index = {p: k for k, p in enumerate(self.points)}
@@ -303,6 +305,7 @@ class PermutationSphereSpace(MetricSpace):
         self.z = math.sqrt(self.coord_sq_sum) / alpha
         self.one_plus_alpha2 = 1.0 + alpha ** 2  # d(p, e_i)^2 = this - 2 p_i / z
         self._value_set = frozenset(range(n))
+        self._perms_of = self._perms = None  # the last target tuple and its perm values
 
     def contains(self, p: Point) -> bool:
         tag = p[0]
@@ -345,7 +348,41 @@ class PermutationSphereSpace(MetricSpace):
                 (x[1][t[1]] for t in targets), dtype=float, count=len(targets)
             )
             return np.sqrt(self.one_plus_alpha2 - 2.0 * vals / self.z)
+        if x[0] == "basis":
+            perms = self._perm_values(targets)
+            if perms is not None:  # a basis point to sphere points, as dist(t, x)
+                is_perm, vals, rest = perms
+                row = np.sqrt(self.one_plus_alpha2 - 2.0 * vals[x[1]] / self.z)
+                if not rest:
+                    return row
+                out = np.empty(len(targets))
+                out[is_perm] = row
+                for k in rest:
+                    out[k] = self.dist(x, targets[k])
+                return out
         return super().dist_row(x, targets)
+
+    def _perm_values(self, targets: Sequence[Point]):
+        """(mask, values, other positions) of the sphere points among the
+        targets, or None when there are none.
+
+        Row i of values holds coordinate i of each sphere target, one byte
+        per value up to n = 256.  Kept for the last target tuple, as ``StarSpace`` keeps
+        its ids: the support columns pass one tuple for every basis point.
+        """
+        if targets is self._perms_of:
+            return self._perms
+        is_perm = [t[0] == "perm" for t in targets]
+        perms = None
+        if True in is_perm:
+            vals = np.fromiter(
+                itertools.chain.from_iterable(t[1] for t in itertools.compress(targets, is_perm)),
+                dtype=np.min_scalar_type(self.n - 1), count=is_perm.count(True) * self.n)
+            rest = [k for k, perm in enumerate(is_perm) if not perm]
+            perms = (np.array(is_perm), np.ascontiguousarray(vals.reshape(-1, self.n).T), rest)
+        if type(targets) is tuple:  # immutable, so the values stay right
+            self._perms_of, self._perms = targets, perms
+        return perms
 
     def sample_sphere_point(self, rng: random.Random) -> Point:
         return ("perm", tuple(shuffled_range(rng, self.n)))

@@ -10,10 +10,14 @@ whether u meets the positive region, never on which point ties resolve to.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import weakref
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .geometry import MetricSpace, Point, TOL
 from .predictors import Hypothesis
@@ -177,14 +181,61 @@ def strategic_loss(space: MetricSpace, f: Hypothesis, agent: Agent) -> int:
     return 0 if meets else 1
 
 
-def strategic_loss_randomized(space: MetricSpace,
-                              mixture: Sequence[tuple],
-                              agent: Agent) -> float:
-    """Expected strategic loss of a finite mixture [(predictor, weight), ...]."""
-    total = math.fsum(w for _, w in mixture)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"mixture weights sum to {total!r}, not 1")
-    return math.fsum(w * strategic_loss(space, f, agent) for f, w in mixture)
+class _SupportColumns:
+    """One kept support as arrays, with a reach column per positive point.
+
+    Built from the support's own atoms (x, u, y and weight) at the first
+    ``population_loss`` call on it.  The column of a point p is True where
+    the atom meets p: a ``Ball`` atom at p or with d(x, p) <= radius + TOL,
+    an ``Explicit`` atom whose set holds p.  Distances come from one
+    ``space.dist_row(p, xs)``, which is ``dist(x, p)`` bit for bit: every
+    space is symmetric (``MatrixSpace`` checks its matrix), and a test
+    checks the sphere's basis-to-permutations row.
+    """
+
+    def __init__(self, space: MetricSpace, support):
+        self.space = space
+        self.support = support
+        agents = [a for a, _ in support]
+        k = len(agents)
+        self.weights = np.fromiter((w for _, w in support), dtype=float, count=k)
+        self.y_positive = np.fromiter((a.y == 1 for a in agents), dtype=bool, count=k)
+        ball = [isinstance(a.u, Ball) for a in agents]
+        self.is_ball = np.array(ball, dtype=bool)
+        balls = list(itertools.compress(agents, ball))
+        self.xs = tuple(a.x for a in balls)
+        self.reach = np.fromiter((a.u.radius for a in balls), dtype=float,
+                                 count=len(balls)) + TOL
+        self.members = [a.u.members for a in agents if not isinstance(a.u, Ball)]
+        self._columns: dict = {}
+
+    def meets(self, p: Point) -> np.ndarray:
+        col = self._columns.get(p)
+        if col is None:
+            col = np.zeros(len(self.weights), dtype=bool)
+            if self.xs:
+                near = self.space.dist_row(p, self.xs) <= self.reach
+                # an atom at p meets it; every reach is at least TOL, so the
+                # distance already says so unless d(p, p) exceeds TOL
+                if not self.space.dist(p, p) <= TOL:
+                    near[[k for k, x in enumerate(self.xs) if x == p]] = True
+                col[self.is_ball] = near
+            if self.members:
+                col[~self.is_ball] = np.fromiter((p in m for m in self.members),
+                                                 dtype=bool, count=len(self.members))
+            self._columns[p] = col
+        return col
+
+    def loss(self, f: Hypothesis) -> float:
+        meets = None
+        for p in f.positive:
+            col = self.meets(p)
+            meets = col if meets is None else meets | col
+        lose = self.y_positive if meets is None else meets != self.y_positive
+        return math.fsum(self.weights[lose].tolist())
+
+
+_kept_columns = weakref.WeakKeyDictionary()  # source -> _SupportColumns
 
 
 def population_loss(space: MetricSpace, f: Hypothesis, source) -> float:
@@ -194,8 +245,18 @@ def population_loss(space: MetricSpace, f: Hypothesis, source) -> float:
     probability) pairs, shared across calls, that callers must not change;
     sources with non-enumerable support return None there and must be
     estimated with the Monte Carlo estimator instead.
+
+    The loss is ``math.fsum`` over the weights of the atoms f loses, read
+    from reach columns kept beside the support (``_SupportColumns``): the
+    same nonzero terms as summing ``w * strategic_loss`` atom by atom, so
+    the same float.  The columns are kept with ``source`` as a weak key
+    (any class instance without ``__eq__`` or ``__slots__`` can be one) and
+    rebuilt when ``support()`` returns another object.
     """
     support = source.support()
     if support is None:
         raise ValueError("support is not enumerable; use monte_carlo_loss")
-    return math.fsum(p * strategic_loss(space, f, agent) for agent, p in support)
+    cols = _kept_columns.get(source)
+    if cols is None or cols.support is not support or cols.space is not space:
+        cols = _kept_columns[source] = _SupportColumns(space, support)
+    return cols.loss(f)

@@ -198,7 +198,7 @@ def test_unknown_learner_is_reported(capsys):
                  "--setting", "x-delta-after", "--n", "4", "--T", "3",
                  "--seeds", "1"])
     assert code == 2
-    assert "unknown learner" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: unknown learner 'sgd'; known: [")
 
 
 def test_unknown_bound_is_reported(capsys):
@@ -206,7 +206,7 @@ def test_unknown_bound_is_reported(capsys):
                  "--setting", "x-delta-after", "--n", "4", "--T", "3",
                  "--seeds", "1", "--bound", "speed-of-light"])
     assert code == 2
-    assert "unknown bound" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: unknown bound 'speed-of-light'")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -307,6 +307,8 @@ def test_experiment_flags_are_the_config_fields(command, own):
     ("bound=exact-mistake-count:count",
      "bad bound spec 'exact-mistake-count:count'; the form is name[:key=value,...]"),
     ("seeds=3:x", "--seeds must be a count, lo:hi or a comma list of integers, got '3:x'"),
+    ("seeds=0", "--seeds '0' selects no seed"),
+    ("seeds=2,2", "--seeds '2,2' repeats a seed"),
 ])
 def test_config_file_errors_exit_2_before_any_seed(monkeypatch, capsys, tmp_path,
                                                    line, message):
@@ -346,7 +348,7 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n"
 
 @pytest.mark.parametrize("argv,threads_env,message", [
     (_APPJ + ["--T", "10", "--seeds", "0", "--bound", "exact-mistake-count:count=99"],
-     None, "bound checks need at least one seed"),
+     None, "--seeds '0' selects no seed"),
     (_APPJ + ["--T", "-5", "--seeds", "1"], None, "T must be nonnegative"),
     (_APPJ + ["--T", "10", "--seeds", "2"], "abc", "STRATGAME_THREADS must be"),
     (_APPJ + ["--T", "10", "--seeds", "2"], "0", "STRATGAME_THREADS must be"),
@@ -403,6 +405,12 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n"
     (_RR + ["--alpha", "0.3"], None,
      "random-realizable on star does not read alpha; leave it at 0.1, got 0.3"),
     (_RR + ["--c", "0.3"], None, "random-realizable does not read c"),
+    # an empty or repeated seed list
+    (_APPJ + ["--T", "10", "--seeds", "0"], None, "--seeds '0' selects no seed"),
+    (_APPJ + ["--T", "10", "--seeds", "5:3"], None, "--seeds '5:3' selects no seed"),
+    (_APPJ + ["--T", "10", "--seeds", ","], None, "--seeds ',' selects no seed"),
+    (_APPJ + ["--T", "10", "--seeds", "1,1"], None, "--seeds '1,1' repeats a seed"),
+    (_APPJ + ["--T", "10", "--seeds", "3,0,3"], None, "--seeds '3,0,3' repeats a seed"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):

@@ -15,6 +15,7 @@ from stratgame.core.geometry import (
     ScaledBasisSpace,
     StarSpace,
     basis,
+    iter_permutations,
     matrix_point,
     perm_point,
     randbelow,
@@ -113,6 +114,14 @@ def test_sphere_metric_axioms_sampled():
     validate_metric(PermutationSphereSpace(6, with_origin=True), random.Random(3))
 
 
+def test_matrix_space_rejects_an_asymmetric_matrix():
+    # population_loss reads d(x, p) from the row of p
+    pts = [matrix_point(i) for i in range(2)]
+    with pytest.raises(ValueError, match="not symmetric"):
+        MatrixSpace(pts, [[0.0, 1.0], [3.0, 0.0]])
+    MatrixSpace(pts, [[np.nan, 1.0], [1.0, 0.0]])  # symmetric, nan or not
+
+
 def test_sphere_contains():
     space = PermutationSphereSpace(3)
     assert space.contains(perm_point((2, 0, 1)))
@@ -127,6 +136,23 @@ def test_sphere_dist_row_fast_path():
     targets = [basis(i) for i in range(5)]
     row = space.dist_row(x, targets)
     assert np.allclose(row, [space.dist(x, t) for t in targets])
+
+
+def test_sphere_basis_row_to_sphere_points_equals_dist_bit_for_bit():
+    # population_loss reads d(x, p) for sphere atoms x from dist_row(p, xs)
+    for n in range(2, 7):
+        space = PermutationSphereSpace(n, with_origin=True)
+        perms = tuple(perm_point(p) for p in iter_permutations(n))
+        mixed = [ORIGIN, perms[-1], basis(0), basis(n - 1)] + list(perms[:5]) + [ORIGIN]
+        for targets in (perms, mixed, tuple(mixed)):
+            for _ in range(2):  # the second call reads the kept values
+                for i in range(n):
+                    row = space.dist_row(basis(i), targets)
+                    assert row.tolist() == [space.dist(t, basis(i)) for t in targets]
+        # the learners' rows, basis to basis and sphere to basis, are as before
+        points = tuple(basis(i) for i in range(n))
+        for x in points + perms[:3]:
+            assert space.dist_row(x, points).tolist() == [space.dist(x, t) for t in points]
 
 
 def test_shuffled_range_replays_random_shuffle():

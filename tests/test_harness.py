@@ -147,6 +147,11 @@ def test_csv_empty_seed_list_is_header_only():
     assert emit_report(report, "csv-summary").decode() == "seed,mistakes,rounds,output_loss\n"
 
 
+def test_bound_checks_need_a_seed():
+    with pytest.raises(ValueError, match="bound checks need at least one seed"):
+        run_experiment(_small_cfg(seeds=[]))
+
+
 def test_unknown_format_rejected():
     report = run_experiment(_small_cfg(seeds=[0]))
     with pytest.raises(ValueError):

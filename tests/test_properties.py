@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 
 from stratgame.core.geometry import (
+    ORIGIN,
     TOL,
     MatrixSpace,
     ScaledBasisSpace,
@@ -16,7 +17,8 @@ from stratgame.core.geometry import (
     validate_metric,
 )
 from stratgame.core.predictors import Hypothesis, HypothesisClass, predict
-from stratgame.core.response import Agent, Ball, Explicit, TieBreak, best_response, strategic_loss
+from stratgame.core.response import (Agent, Ball, Explicit, TieBreak, best_response,
+                                     population_loss, strategic_loss)
 from stratgame.environments import make_environment, random_realizable_stream
 from stratgame.learners import MedianHalvingLearner, make_learner
 from stratgame.protocol import RngStreams, Setting, run_online, run_round
@@ -191,6 +193,76 @@ def test_one_point_response_equals_the_frozenset_path(seed):
                 assert (best_response(space, a, f, TieBreak.FIXED_LOWEST),
                         strategic_loss(space, f, a)) == _frozenset_path(space, a, f)
     assert at_edge > 0
+
+
+def _per_atom_sum(space, f, support):
+    return math.fsum(w * strategic_loss(space, f, a) for a, w in support)
+
+
+_FAMILY_EPS = {"appG": 0.01, "appI": 0.02, "appJ": 0.02, "appK": 0.05}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_FAMILY_EPS)), st.integers(2, 6), st.integers(0, 10_000))
+def test_population_loss_equals_the_per_atom_sum(tag, n, seed):
+    # the reach columns must give the very float of the per-atom sum, cold
+    # and warm, on regions of anchor, class and sphere points
+    rng = random.Random(seed)
+    fam = make_environment(tag, n, eps=_FAMILY_EPS[tag], target=rng.randrange(n)).family
+    support = fam.support()
+    points = list(fam.hclass.points)
+    if tag == "appG":
+        points.append(ORIGIN)
+    elif tag in ("appJ", "appK"):
+        points.append(matrix_point(0))
+    if tag in ("appG", "appI"):
+        sphere = sorted({a.x for a, _ in support if a.x[0] == "perm"})
+        points += rng.sample(sphere, min(3, len(sphere)))
+    regions = [Hypothesis(())] + [Hypothesis(rng.sample(points, rng.randint(1, 3)))
+                                  for _ in range(6)]
+    for _ in range(2):
+        for f in regions:
+            assert population_loss(fam.space, f, fam) == _per_atom_sum(fam.space, f, support)
+
+
+class _FreshListSource:
+    """Returns a new list on every call, as appJ's ``support()`` does."""
+
+    def __init__(self, atoms):
+        self.atoms = atoms
+
+    def support(self):
+        return list(self.atoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_population_loss_on_mixed_ball_and_explicit_atoms(seed):
+    rng = random.Random(seed)
+    space = StarSpace(5)
+    pts = space.points
+
+    def atoms():
+        out = []
+        for _ in range(rng.randint(0, 12)):
+            x = rng.choice(pts)
+            if rng.random() < 0.5:  # radii around the star's distances 1 and 2
+                u = Ball(rng.choice((0.0, 1.0 - TOL, math.nextafter(1.0 - TOL, 0.0), 1.0, 2.0)))
+            else:
+                u = Explicit({x} | {p for p in pts if rng.random() < 0.3})
+            out.append((Agent(x, u, rng.choice((1, -1))), rng.random()))
+        return out
+
+    kept = atoms()
+    src = _FreshListSource(kept)
+    regions = [Hypothesis(rng.sample(pts, rng.randint(0, 3))) for _ in range(6)]
+    for _ in range(2):
+        for f in regions:
+            assert population_loss(space, f, src) == _per_atom_sum(space, f, kept)
+    # a new support list with other atoms is read afresh
+    src.atoms = kept = atoms()
+    for f in regions:
+        assert population_loss(space, f, src) == _per_atom_sum(space, f, kept)
 
 
 def _examples(cases):

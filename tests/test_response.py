@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -13,7 +14,7 @@ from stratgame.core.geometry import (
     basis,
     matrix_point,
 )
-from stratgame.core.predictors import HypothesisClass, predict
+from stratgame.core.predictors import Hypothesis, HypothesisClass, predict
 from stratgame.core.response import (
     Agent,
     Ball,
@@ -22,8 +23,9 @@ from stratgame.core.response import (
     best_response,
     population_loss,
     strategic_loss,
-    strategic_loss_randomized,
 )
+
+from helpers import strategic_loss_randomized
 
 
 @pytest.fixture
@@ -291,6 +293,22 @@ def test_population_loss_exact(star5):
     f = hclass.union((1,))  # spoke 2 positive
     # positive reaches spoke 2; the spoke-2 negative is predicted positive
     assert population_loss(space, f, _ListSource(atoms)) == pytest.approx(0.25)
+
+
+def test_population_loss_counts_an_atom_at_the_point_as_meeting_it():
+    # strategic_loss lets x == p meet p whatever d(x, x) reads; so must the
+    # reach columns, here on a matrix whose diagonal is no distance at all
+    pts = [matrix_point(k) for k in range(3)]
+    m = np.array([[5.0, 1.0, 2.0], [1.0, np.nan, 1.0], [2.0, 1.0, 5.0]])
+    space = MatrixSpace(pts, m)
+    atoms = [(Agent(p, Ball(0.5), y), 2.0 ** -k)
+             for k, (p, y) in enumerate((p, y) for p in pts for y in (1, -1))]
+    src = _ListSource(atoms)
+    # atom k weighs 2**-k: (p0, +1), (p0, -1), (p1, +1), ..., (p2, -1)
+    for region, lost in (([pts[0]], 26), ([pts[1]], 38), ([pts[0], pts[2]], 25), (pts, 21)):
+        f = Hypothesis(region)
+        want = math.fsum(w * strategic_loss(space, f, a) for a, w in atoms)
+        assert population_loss(space, f, src) == want == lost / 32
 
 
 def test_population_loss_needs_enumerable_support(star5):
