@@ -23,6 +23,7 @@ from .environments import _STREAM_SPACES, environment_names
 from .harness import (
     MODES,
     ExperimentConfig,
+    check_config,
     emit_report,
     parse_config_file,
     run_experiment,
@@ -164,15 +165,16 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    values = _int_list(args.values, "--values")
+    subs = [replace(cfg, **{args.param: v}) for v in _int_list(args.values, "--values")]
+    for sub in subs:  # every value before the first runs
+        check_config(sub)
     results = []
     all_pass = True
-    for v in values:
-        sub = replace(cfg, **{args.param: v})
+    for sub in subs:
         report = run_experiment(sub, threads=args.threads)
         all_pass = all_pass and report.all_bounds_pass
-        results.append({args.param: v, "aggregate": report.aggregate,
-                        "bounds": report.bounds})
+        results.append({args.param: getattr(sub, args.param),
+                        "aggregate": report.aggregate, "bounds": report.bounds})
     _emit((json.dumps(results, sort_keys=True, indent=2) + "\n").encode(), args)
     return 0 if all_pass else 1
 

@@ -213,15 +213,14 @@ def _bound_mwmr(cfg, params, rows, agg):
 
 
 def _bound_adversary_floor(cfg, params, rows, agg):
-    delta = params.get("delta", cfg.delta)
-    value = min(cfg.T / (5.0 * cfg.n * math.log(cfg.n / delta)), cfg.n - 1.0)
+    value = min(cfg.T / (5.0 * cfg.n * math.log(cfg.n / params["delta"])), cfg.n - 1.0)
     need = math.ceil(value - 1e-9)
     frac = _mean([1.0 if r["mistakes"] >= need else 0.0 for r in rows])
-    return value, frac, frac >= params.get("fraction", 0.7)
+    return value, frac, frac >= params["fraction"]
 
 
 def _bound_expected_loss(cfg, params, rows, agg):
-    value = params.get("eps", cfg.eps)
+    value = params["eps"]
     observed = agg["mean_output_loss"]
     slack = 3.0 * agg["stderr_output_loss"]
     return value, observed, observed <= value + slack + 1e-12
@@ -231,7 +230,7 @@ def _bound_loss_quantile(cfg, params, rows, agg):
     limit = params["limit"]
     losses = [r["output_loss"] for r in rows]
     frac = _mean([1.0 if x <= limit + 1e-12 else 0.0 for x in losses])
-    return limit, frac, frac >= params.get("fraction", 0.9)
+    return limit, frac, frac >= params["fraction"]
 
 
 def _bound_exact_mistakes(cfg, params, rows, agg):
@@ -241,33 +240,41 @@ def _bound_exact_mistakes(cfg, params, rows, agg):
 
 
 def _bound_union_budget(cfg, params, rows, agg):
-    value = default_union_rounds(cfg.n, params.get("eps", cfg.eps))
+    value = default_union_rounds(cfg.n, params["eps"])
     return float(value), float(cfg.T), cfg.T >= value
 
 
 _OUTPUT_LOSS_BOUNDS = ("expected-loss", "loss-quantile")
 
+# Each bound's formula and the keys of its spec, each mapped to its default:
+# None when the spec must give it, "cfg" when it falls back to the config
+# field of the same name.
 BOUND_LIBRARY = {
-    "halving-mistake-bound": _bound_halving,
-    "mwmr-expected-mistake-bound": _bound_mwmr,
-    "adversary-mistake-floor": _bound_adversary_floor,
-    "expected-loss": _bound_expected_loss,
-    "loss-quantile": _bound_loss_quantile,
-    "exact-mistake-count": _bound_exact_mistakes,
-    "union-round-budget": _bound_union_budget,
+    "halving-mistake-bound": (_bound_halving, {}),
+    "mwmr-expected-mistake-bound": (_bound_mwmr, {}),
+    "adversary-mistake-floor": (_bound_adversary_floor, {"delta": "cfg", "fraction": 0.7}),
+    "expected-loss": (_bound_expected_loss, {"eps": "cfg"}),
+    "loss-quantile": (_bound_loss_quantile, {"limit": None, "fraction": 0.9}),
+    "exact-mistake-count": (_bound_exact_mistakes, {"count": None}),
+    "union-round-budget": (_bound_union_budget, {"eps": "cfg"}),
 }
+
+
+def _bound_params(cfg: ExperimentConfig, spec: dict) -> dict:
+    """A bound spec's keys, each omitted one at its default or config value."""
+    keys = BOUND_LIBRARY[spec["name"]][1]
+    params = {key: getattr(cfg, key) if default == "cfg" else default
+              for key, default in keys.items()}
+    params.update((key, value) for key, value in spec.items() if key != "name")
+    return params
 
 
 def evaluate_bounds(cfg: ExperimentConfig, rows: list, agg: dict) -> list:
     out = []
     for spec in cfg.bounds:
-        params = dict(spec)
-        name = params.pop("name")
-        fn = BOUND_LIBRARY.get(name)
-        if fn is None:
-            raise KeyError(f"unknown bound {name!r}; known: {sorted(BOUND_LIBRARY)}")
-        value, observed, passed = fn(cfg, params, rows, agg)
-        out.append({"name": name, "value": value, "observed": observed,
+        fn = BOUND_LIBRARY[spec["name"]][0]
+        value, observed, passed = fn(cfg, _bound_params(cfg, spec), rows, agg)
+        out.append({"name": spec["name"], "value": value, "observed": observed,
                     "pass": bool(passed)})
     return out
 
@@ -300,9 +307,9 @@ class MetricsReport:
         return MetricsReport.from_rows(cfg, self.rows)
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MetricsReport:
-    """Execute every seed (in parallel when configured) and evaluate bounds."""
-    threads = _threads(threads)
+def check_config(cfg: ExperimentConfig) -> None:
+    """Every check that needs no seed run: the horizon, the mode, each bound
+    spec, the environment parameters and the learner's fit to the setting."""
     if cfg.T < 0:
         raise ValueError(f"the horizon T must be nonnegative, got {cfg.T}")
     if cfg.bounds and not cfg.seeds:
@@ -317,11 +324,25 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> Metrics
         if name in _OUTPUT_LOSS_BOUNDS and mode != "pac":
             raise ValueError(f"bound {name!r} needs the output losses of a pac run; "
                              f"mode is {mode!r}")
-    env = _environment(cfg)  # validate parameters before spawning workers
+        keys = BOUND_LIBRARY[name][1]
+        for key, value in _bound_params(cfg, spec).items():
+            if key not in keys:
+                raise ValueError(f"bound {name!r} has no key {key!r}; it takes "
+                                 f"{', '.join(keys) or 'no keys'}")
+            if value is None:
+                raise ValueError(f"bound {name!r} needs {key} in its spec" + (
+                    " or in the config" if keys[key] == "cfg" else ""))
+    env = _environment(cfg)
     if mode == "pac" and env.family is None:
         raise ValueError(f"pac mode needs an i.i.d. family environment; "
                          f"{cfg.env!r} is not one")
     check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
+
+
+def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MetricsReport:
+    """Execute every seed (in parallel when configured) and evaluate bounds."""
+    threads = _threads(threads)
+    check_config(cfg)  # before spawning workers
     seeds = list(cfg.seeds)
     if threads > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import

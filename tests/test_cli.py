@@ -2,7 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -180,7 +180,8 @@ def test_verify_rejects_unknown_criterion_before_any_runs(monkeypatch, capsys, o
     def no_run():
         raise AssertionError("a criterion ran before the --only check")
 
-    monkeypatch.setattr(acceptance, "CRITERIA", [no_run] * 9)
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        replace(c, configs=(), check=no_run) for c in acceptance.CRITERIA))
     assert main(["verify", "--only", only]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: no criterion") and len(err.splitlines()) == 1
@@ -411,6 +412,20 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n"
     (_APPJ + ["--T", "10", "--seeds", ","], None, "--seeds ',' selects no seed"),
     (_APPJ + ["--T", "10", "--seeds", "1,1"], None, "--seeds '1,1' repeats a seed"),
     (_APPJ + ["--T", "10", "--seeds", "3,0,3"], None, "--seeds '3,0,3' repeats a seed"),
+    # a bound spec without a value it needs, or with a key it does not take
+    (_APPE + ["--learner", "mwmr", "--bound", "adversary-mistake-floor"], None,
+     "bound 'adversary-mistake-floor' needs delta in its spec or in the config"),
+    (_RR + ["--bound", "union-round-budget"], None,
+     "bound 'union-round-budget' needs eps in its spec or in the config"),
+    (["--env", "appG", "--learner", "random-union", "--n", "6", "--env-eps", "0.05",
+      "--T", "10", "--seeds", "2", "--bound", "expected-loss"], None,
+     "bound 'expected-loss' needs eps in its spec or in the config"),
+    (_APPJ + ["--T", "10", "--seeds", "1", "--bound", "exact-mistake-count"], None,
+     "bound 'exact-mistake-count' needs count in its spec"),
+    (_APPJ + ["--T", "10", "--seeds", "1", "--bound", "exact-mistake-count:count=3,cuont=9"],
+     None, "bound 'exact-mistake-count' has no key 'cuont'; it takes count"),
+    (_APPJ + ["--T", "10", "--seeds", "1", "--bound", "halving-mistake-bound:n=3"], None,
+     "bound 'halving-mistake-bound' has no key 'n'; it takes no keys"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):
@@ -473,6 +488,26 @@ def test_sweep_bad_value_exits_2_before_any_seed(monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: --values must be a comma list of integers, got '5,x'\n"
+
+
+@pytest.mark.parametrize("param,values,message", [
+    ("T", "3,-1", "the horizon T must be nonnegative, got -1"),
+    ("n", "4,0", "target index out of range"),
+])
+def test_sweep_checks_every_value_before_any_seed(monkeypatch, capsys, param, values,
+                                                  message):
+    from stratgame import harness
+
+    def no_seed(cfg, seed):
+        raise AssertionError("a seed ran before every value was checked")
+
+    monkeypatch.setattr(harness, "run_single_seed", no_seed)
+    code = main(["sweep"] + _APPJ + ["--T", "10", "--seeds", "2", "--param", param,
+                                     "--values", values])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_python_dash_m_runs_the_cli():

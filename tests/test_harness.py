@@ -291,3 +291,33 @@ def test_pac_mode_on_non_iid_environment_rejected_before_any_seed(monkeypatch, o
     assert cfg.resolved_mode() == "pac"
     with pytest.raises(ValueError, match="pac mode needs an i.i.d. family"):
         run_experiment(cfg)
+
+
+def test_every_criterion_config_passes_the_pre_seed_checks():
+    # a broken declaration fails here, not part way through the acceptance gate
+    from stratgame import acceptance
+    from stratgame.harness import check_config
+
+    for criterion in acceptance.CRITERIA:
+        assert bool(criterion.configs) != (criterion.check is not None), criterion.name
+        for _, cfg in criterion.configs:
+            check_config(cfg)
+
+
+@pytest.mark.parametrize("name,number,label", [
+    ("halving-star", 1, None), ("mwmr-probe-appE", 2, "adversary"),
+    ("boost-union-appG", 6, None)])
+def test_bench_simulations_run_the_criteria_configs(monkeypatch, name, number, label):
+    # the bench types its simulations' configurations out; they must not drift
+    # from the criteria they time
+    from dataclasses import replace
+    from pathlib import Path
+
+    from stratgame import acceptance
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    sim = workloads.Simulation(name, 0, 4)
+    declared = dict(acceptance.CRITERIA[number - 1].configs)[label]
+    assert sim._config() == replace(declared, seeds=sim.seeds)

@@ -593,18 +593,6 @@ def test_explicit_set_ties_draw_from_the_tie_stream():
     assert ties >= 1
 
 
-def _acceptance_configs(monkeypatch):
-    """The configurations of criteria 1-7, as the criteria build them."""
-    from stratgame import acceptance
-
-    cfgs = []
-    monkeypatch.setattr(acceptance, "_report_check",
-                        lambda cfg: cfgs.append(cfg) or (True, ""))
-    for criterion in acceptance.CRITERIA[:7]:
-        criterion()
-    return cfgs
-
-
 def _skipped_rounds(monkeypatch, source, make, setting, T, seed):
     """Run the learner free to skip, in both record modes, and with
     ``settled`` overridden to return None; check that the three runs agree
@@ -648,10 +636,10 @@ def _skipped_rounds(monkeypatch, source, make, setting, T, seed):
 
 
 def test_counts_runs_match_full_runs_on_acceptance_configs(monkeypatch):
-    from stratgame import harness
+    from stratgame import acceptance, harness
 
     checked = 0
-    for cfg in _acceptance_configs(monkeypatch):
+    for cfg in (cfg for c in acceptance.CRITERIA for _, cfg in c.configs):
         env = harness._environment(cfg)
         if env.shared is not None and env.shared.target is None:
             continue  # criterion 3's star-ex42 commits lazily: nothing to skip
