@@ -348,11 +348,14 @@ class PermutationSphereSpace(MetricSpace):
                 (x[1][t[1]] for t in targets), dtype=float, count=len(targets)
             )
             return np.sqrt(self.one_plus_alpha2 - 2.0 * vals / self.z)
-        if x[0] == "basis":
+        if x[0] == "basis" or x[0] == "origin":
             perms = self._perm_values(targets)
-            if perms is not None:  # a basis point to sphere points, as dist(t, x)
+            if perms is not None:  # to the sphere points, as dist(t, x)
                 is_perm, vals, rest = perms
-                row = np.sqrt(self.one_plus_alpha2 - 2.0 * vals[x[1]] / self.z)
+                if x[0] == "origin":
+                    row = np.full(vals.shape[1], self.alpha)  # d(0, p) = alpha
+                else:
+                    row = np.sqrt(self.one_plus_alpha2 - 2.0 * vals[x[1]] / self.z)
                 if not rest:
                     return row
                 out = np.empty(len(targets))

@@ -39,6 +39,12 @@ class ParameterError(ValueError):
     """A family was asked for parameters outside its valid range."""
 
 
+def _check_n(name: str, n: int, least: int) -> None:
+    """Reject a too-small n before any check that reads n."""
+    if n < least:
+        raise ParameterError(f"{name} needs n >= {least}, got n={n}")
+
+
 def _check_reach_separation(space: PermutationSphereSpace) -> None:
     """Reject spheres whose reach levels sqrt(1 + alpha^2 - 2v/z) crowd TOL.
 
@@ -163,6 +169,7 @@ class SphereRadiusFamily(_PermutationFamily):
 
     def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
                  validate: bool = True):
+        _check_n(self.tag, n, 2)
         if not 0 <= target < n:
             raise ParameterError("target index out of range")
         if eps <= 0 or 3 * n * eps > 1:
@@ -214,6 +221,7 @@ class SphereRankFamily(_PermutationFamily):
 
     def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
                  validate: bool = True):
+        _check_n(self.tag, n, 2)
         if not 0 <= target < n:
             raise ParameterError("target index out of range")
         if eps <= 0 or 6 * eps > 1:
@@ -264,6 +272,7 @@ class StarSpokeFamily:
     tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
+        _check_n(self.tag, n, 1)
         if not 0 <= target < n:
             raise ParameterError("target index out of range")
         if eps <= 0 or 3 * (n - 1) * eps > 1:
@@ -310,6 +319,7 @@ class PrefixSetFamily(_PermutationFamily):
     tie = TieBreak.UNIFORM_RANDOM
 
     def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
+        _check_n(self.tag, n, 1)
         if not 0 <= target < n:
             raise ParameterError("target index out of range")
         if eps <= 0 or 6 * eps > 1:
@@ -374,8 +384,7 @@ class StarCounterAdversary:
     target = None
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ParameterError("need at least two spokes")
+        _check_n(self.tag, n, 2)
         self.n = n
         self.space = StarSpace(n)
         self.hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
@@ -428,8 +437,7 @@ class ProbingAdversary:
 
     def __init__(self, n: int, target: int | None = None, c: float | None = None,
                  samples: int = 1000):
-        if n < 2:
-            raise ParameterError("need at least two basis directions")
+        _check_n(self.tag, n, 2)
         self.n = n
         self.target = n - 1 if target is None else target
         if not 0 <= self.target < n:
@@ -638,6 +646,7 @@ def make_environment(name: str, n: int, eps: float | None = None,
     if name == "random-realizable":
         if stream_space not in _STREAM_SPACES:
             raise ParameterError(f"unknown stream space {stream_space!r}")
+        _check_n(f"{name} on {stream_space}", n, 2 if stream_space.startswith("sphere") else 1)
         space = _STREAM_SPACES[stream_space](n, alpha)
         if stream_space == "star":
             hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])

@@ -1,19 +1,20 @@
 """Exact rational loss oracles for the hard i.i.d. families.
 
 Independent of the samplers and the float loss path: losses are derived by
-enumerating supports (all n! draw orders at n <= 7) with Fraction
-arithmetic.  Distance comparisons on the permutation sphere reduce to
-integer comparisons on coordinate values; the few comparisons involving
-sqrt terms are decided exactly by squaring.  Closed forms for unions of
-class singletons are provided for every family and cross-checked against
-the enumeration in the tests.
+enumerating supports (all n! draw orders at n <= 7).  The orders are the rows
+of one cached (n!, n) int8 permutation matrix per n, and a loss is a count of
+rows under integer comparisons on coordinate values, times one atom's
+Fraction weight.  The comparisons involving sqrt terms are decided exactly by
+squaring, with Fractions, once per distinct integer key.  Closed forms for
+unions of class singletons are provided for every family and cross-checked
+against the enumeration in the tests.
 """
-
-from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
+
+import numpy as np
 
 EXACT_LIMIT = 7
 
@@ -65,7 +66,7 @@ def describe_region(tag: str, n: int, f) -> Region:
                 singles.add(p[1] - 1)
         elif tag_p == "basis" and tag in ("appG", "appI") and 0 <= p[1] < n:
             singles.add(p[1])
-        elif tag_p == "perm" and tag in ("appG", "appI") and len(p[1]) == n:
+        elif tag_p == "perm" and tag in ("appG", "appI") and sorted(p[1]) == list(range(n)):
             sphere.add(tuple(p[1]))
         else:
             raise ValueError(f"point not in space: {p!r}")
@@ -100,19 +101,40 @@ def _sq_sum(n: int) -> int:
     return sum(k * k for k in range(n))
 
 
-def _rank_neg_reaches(p: tuple, q: tuple, v: int, alpha: Fraction, s: int) -> bool:
-    """Exactly decide d(p, q) <= r for a rank-family negative.
+_PERMUTATIONS = {}  # n -> the read-only (n!, n) int8 matrix of the orders of range(n)
 
-    r = sqrt(1 + a^2 - 2(v+1)/z) with 1/z = a/sqrt(s), and
-    d(p, q)^2 = sum (p_j - q_j)^2 * a^2 / s.  The comparison rearranges to
-    2 (v+1) a / sqrt(s) <= B with rational B, decided by squaring.
-    """
-    d2 = sum((a - b) * (a - b) for a, b in zip(p, q)) * alpha * alpha / s
+
+def _permutations(n: int) -> np.ndarray:
+    """Rows in ``itertools.permutations`` order, built at the first call."""
+    if n not in _PERMUTATIONS:
+        P = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8,
+                        count=math.factorial(n) * n).reshape(-1, n)
+        P.flags.writeable = False
+        _PERMUTATIONS[n] = P
+    return _PERMUTATIONS[n]
+
+
+def _rank_neg_reaches(D: int, v: int, alpha: Fraction, s: int) -> bool:
+    """Exactly decide d(p, q) <= r for a rank-family negative at p with target
+    coordinate v and integer D = sum (p_j - q_j)^2: with 1/z = a/sqrt(s),
+    r^2 = 1 + a^2 - 2(v+1)/z and d(p, q)^2 = D a^2 / s, so the comparison is
+    2 (v+1) a / sqrt(s) <= B with rational B, decided by squaring."""
+    d2 = D * alpha * alpha / s
     bound = 1 + alpha * alpha - d2
     if bound < 0:
         return False
     lhs = 2 * (v + 1) * alpha
     return lhs * lhs <= bound * bound * s
+
+
+def _reaches(D: np.ndarray, v: np.ndarray, n: int, alpha: Fraction) -> np.ndarray:
+    """``_rank_neg_reaches`` over integer arrays D and v < n, broadcast, decided
+    once per distinct int64 key D * n + v (int8 overflows at n = 7)."""
+    keys = D.astype(np.int64) * n + v
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    s = _sq_sum(n)
+    decided = [_rank_neg_reaches(k // n, k % n, alpha, s) for k in uniq.tolist()]
+    return np.array(decided)[inverse].reshape(keys.shape)
 
 
 def exact_loss(tag: str, n: int, eps, target: int, f,
@@ -153,14 +175,10 @@ def _loss_prefix(n: int, eps: Fraction, target: int, region: Region) -> Fraction
         return loss + 6 * eps  # every negative starts at the positive hub
     wrong = region.singles - {target}
     if wrong:
-        bad = 0
-        for order in permutations(range(n)):
-            for j in order:
-                if j == target:
-                    break
-                if j in wrong:
-                    bad += 1
-                    break
+        # a wrong spoke drawn before the target; the inverse permutations are
+        # all n! orders too, so each row is read as the spokes' draw positions
+        pos = _permutations(n)
+        bad = np.count_nonzero(pos[:, sorted(wrong)].min(axis=1) < pos[:, target])
         loss += 6 * eps * Fraction(bad, math.factorial(n))
     return loss
 
@@ -177,14 +195,11 @@ def _loss_radius(n: int, eps: Fraction, target: int, region: Region,
         loss += 1 - sphere_mass  # the immovable origin negative is hit
     misses = 0
     if not (region.at_anchor or region.sphere):
-        for p in permutations(range(n)):
-            if p[target] == 0:
-                # generous radius sqrt(1+alpha^2): every basis point is in reach
-                if not region.singles:
-                    misses += 1
-            elif not any(p[j] != 0 for j in region.singles):
-                # tight radius: basis j is in reach iff coordinate j is nonzero
-                misses += 1
+        # no basis point in reach: where p[target] == 0 the radius sqrt(1+alpha^2)
+        # reaches all of them, elsewhere basis j is reached iff p[j] != 0
+        P = _permutations(n)
+        miss = (P[:, sorted(region.singles)] == 0).all(axis=1)
+        misses = np.count_nonzero(miss & (P[:, target] != 0) if region.singles else miss)
     loss += sphere_mass * Fraction(misses, math.factorial(n))
     return loss
 
@@ -195,17 +210,16 @@ def _loss_rank(n: int, eps: Fraction, target: int, region: Region,
         raise ValueError("exact sphere reasoning needs 0 < alpha <= 1/3")
     if region.empty:
         return 1 - 6 * eps  # radius-2 positives reach any nonempty region
-    s = _sq_sum(n)
-    hits = 0
-    for p in permutations(range(n)):
-        if p in region.sphere:
-            hits += 1  # negative already predicted positive
-            continue
-        v = p[target]
-        if (any(p[j] > v for j in region.singles)
-                or any(_rank_neg_reaches(p, q, v, alpha, s) for q in region.sphere)):
-            hits += 1
-    return 6 * eps * Fraction(hits, math.factorial(n))
+    P = _permutations(n)
+    v = P[:, target:target + 1]
+    # a negative is hit when a singleton's coordinate beats the target's, when
+    # it is one of the sphere points, or when one is in its reach
+    hit = (P[:, sorted(region.singles)] > v).any(axis=1)
+    if region.sphere:
+        Q = np.array(sorted(region.sphere), dtype=np.int64)
+        D = ((P[:, None, :] - Q) ** 2).sum(axis=2)  # squared distances, (n!, points)
+        hit |= ((D == 0) | _reaches(D, v, n, alpha)).any(axis=1)
+    return 6 * eps * Fraction(np.count_nonzero(hit), math.factorial(n))
 
 
 def analytic_union_loss(tag: str, n: int, eps, target: int, parts) -> Fraction:

@@ -426,6 +426,26 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n"
      None, "bound 'exact-mistake-count' has no key 'cuont'; it takes count"),
     (_APPJ + ["--T", "10", "--seeds", "1", "--bound", "halving-mistake-bound:n=3"], None,
      "bound 'halving-mistake-bound' has no key 'n'; it takes no keys"),
+    # an n below what the environment needs is named before the target
+    (["--env", "appJ", "--learner", "seq-elim", "--n", "0", "--eps", "0.02", "--T", "5",
+      "--seeds", "1"], None, "appJ needs n >= 1, got n=0"),
+    (["--env", "appJ", "--learner", "seq-elim", "--n", "0", "--target", "0", "--eps",
+      "0.02", "--T", "5", "--seeds", "1"], None, "appJ needs n >= 1, got n=0"),
+    (["--env", "appK", "--learner", "seq-elim", "--n", "-1", "--eps", "0.02", "--T", "5",
+      "--seeds", "1"], None, "appK needs n >= 1, got n=-1"),
+    (["--env", "appG", "--learner", "seq-elim", "--n", "0", "--eps", "0.02", "--T", "5",
+      "--seeds", "1"], None, "appG needs n >= 2, got n=0"),
+    (["--env", "appI", "--learner", "seq-elim", "--n", "1", "--eps", "0.02", "--T", "5",
+      "--seeds", "1"], None, "appI needs n >= 2, got n=1"),
+    (["--env", "star-ex42", "--learner", "seq-elim", "--n", "1", "--T", "5", "--seeds", "1"],
+     None, "star-ex42 needs n >= 2, got n=1"),
+    (["--env", "appE", "--learner", "mwmr", "--n", "1", "--T", "5", "--seeds", "1"], None,
+     "appE needs n >= 2, got n=1"),
+    (["--env", "random-realizable", "--learner", "halving", "--n", "0", "--T", "5",
+      "--seeds", "1"], None, "random-realizable on star needs n >= 1, got n=0"),
+    (["--env", "random-realizable", "--learner", "halving", "--n", "1", "--stream-space",
+      "sphere", "--T", "5", "--seeds", "1"], None,
+     "random-realizable on sphere needs n >= 2, got n=1"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):
@@ -492,7 +512,7 @@ def test_sweep_bad_value_exits_2_before_any_seed(monkeypatch, capsys):
 
 @pytest.mark.parametrize("param,values,message", [
     ("T", "3,-1", "the horizon T must be nonnegative, got -1"),
-    ("n", "4,0", "target index out of range"),
+    ("n", "4,0", "appJ needs n >= 1, got n=0"),
 ])
 def test_sweep_checks_every_value_before_any_seed(monkeypatch, capsys, param, values,
                                                   message):

@@ -146,9 +146,10 @@ def test_sphere_basis_row_to_sphere_points_equals_dist_bit_for_bit():
         mixed = [ORIGIN, perms[-1], basis(0), basis(n - 1)] + list(perms[:5]) + [ORIGIN]
         for targets in (perms, mixed, tuple(mixed)):
             for _ in range(2):  # the second call reads the kept values
-                for i in range(n):
-                    row = space.dist_row(basis(i), targets)
-                    assert row.tolist() == [space.dist(t, basis(i)) for t in targets]
+                for x in [basis(i) for i in range(n)] + [ORIGIN]:
+                    row = space.dist_row(x, targets)
+                    assert row.tolist() == [space.dist(t, x) for t in targets]
+                    assert row.tolist() == [space.dist(x, t) for t in targets]
         # the learners' rows, basis to basis and sphere to basis, are as before
         points = tuple(basis(i) for i in range(n))
         for x in points + perms[:3]:

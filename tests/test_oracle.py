@@ -1,14 +1,18 @@
+import ast
 import math
 import random
 import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from stratgame import oracle
 from stratgame.core.geometry import ORIGIN, basis, matrix_point
 from stratgame.core.predictors import Hypothesis
 from stratgame.core.response import population_loss
@@ -16,8 +20,11 @@ from stratgame.environments import make_environment
 from stratgame.oracle import (
     Region,
     SupportTooLarge,
+    _loss_prefix,
+    _loss_radius,
     _loss_rank,
     _rank_neg_reaches,
+    _reaches,
     analytic_union_loss,
     describe_region,
     exact_loss,
@@ -157,6 +164,13 @@ def test_describe_region_rejects_foreign_points():
         describe_region("appJ", 4, [matrix_point(9)])
     with pytest.raises(ValueError, match="point not in space"):
         describe_region("appK", 4, [basis(1)])
+    # a sphere point's values must be a permutation of range(n)
+    for vals in [(0, 0, 0), (1, 2, 3), (0, 1), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError, match="point not in space"):
+            describe_region("appI", 3, [("perm", vals)])
+        with pytest.raises(ValueError, match="point not in space"):
+            exact_loss("appG", 3, 0.02, 0, [("perm", vals)])
+    assert describe_region("appI", 3, [("perm", [2, 0, 1])]).sphere == {(2, 0, 1)}
 
 
 def test_exact_losses_are_fractions():
@@ -223,6 +237,25 @@ def test_closed_form_rejects_parts_outside_the_class(parts):
             analytic_union_loss(tag, 5, Fraction(1, 100), 0, parts)
 
 
+# The per-permutation loops the oracle used before it counted over the
+# permutation matrix, kept unchanged as references.
+
+
+def _reference_rank_neg_reaches(p: tuple, q: tuple, v: int, alpha: Fraction, s: int) -> bool:
+    """Exactly decide d(p, q) <= r for a rank-family negative.
+
+    r = sqrt(1 + a^2 - 2(v+1)/z) with 1/z = a/sqrt(s), and
+    d(p, q)^2 = sum (p_j - q_j)^2 * a^2 / s.  The comparison rearranges to
+    2 (v+1) a / sqrt(s) <= B with rational B, decided by squaring.
+    """
+    d2 = sum((a - b) * (a - b) for a, b in zip(p, q)) * alpha * alpha / s
+    bound = 1 + alpha * alpha - d2
+    if bound < 0:
+        return False
+    lhs = 2 * (v + 1) * alpha
+    return lhs * lhs <= bound * bound * s
+
+
 def _reference_loss_rank(n, eps, target, region, alpha=Fraction(1, 10)):
     """The appI oracle as it was: one Fraction added per permutation."""
     loss = Fraction(0)
@@ -240,23 +273,143 @@ def _reference_loss_rank(n, eps, target, region, alpha=Fraction(1, 10)):
         v = p[target]
         reach = any(p[j] > v for j in region.singles)
         if not reach:
-            reach = any(_rank_neg_reaches(p, q, v, alpha, s) for q in region.sphere)
+            reach = any(_reference_rank_neg_reaches(p, q, v, alpha, s)
+                        for q in region.sphere)
         if reach:
             loss += neg_atom
     return loss
 
 
+def _reference_loss_prefix(n: int, eps: Fraction, target: int, region: Region) -> Fraction:
+    loss = Fraction(0)
+    if region.empty:
+        loss += 1 - 6 * eps  # hub positives with full manipulation sets
+    if region.at_anchor:
+        return loss + 6 * eps  # every negative starts at the positive hub
+    wrong = region.singles - {target}
+    if wrong:
+        bad = 0
+        for order in permutations(range(n)):
+            for j in order:
+                if j == target:
+                    break
+                if j in wrong:
+                    bad += 1
+                    break
+        loss += 6 * eps * Fraction(bad, math.factorial(n))
+    return loss
+
+
+def _reference_loss_radius(n: int, eps: Fraction, target: int, region: Region,
+                           alpha: Fraction) -> Fraction:
+    # alpha <= 1/3 makes 2*alpha <= r_l, so origin and within-sphere targets
+    # are always in reach of the sphere positives
+    if alpha <= 0 or alpha > Fraction(1, 3):
+        raise ValueError("exact sphere reasoning needs 0 < alpha <= 1/3")
+    loss = Fraction(0)
+    sphere_mass = 3 * n * eps
+    if region.at_anchor:
+        loss += 1 - sphere_mass  # the immovable origin negative is hit
+    misses = 0
+    if not (region.at_anchor or region.sphere):
+        for p in permutations(range(n)):
+            if p[target] == 0:
+                # generous radius sqrt(1+alpha^2): every basis point is in reach
+                if not region.singles:
+                    misses += 1
+            elif not any(p[j] != 0 for j in region.singles):
+                # tight radius: basis j is in reach iff coordinate j is nonzero
+                misses += 1
+    loss += sphere_mass * Fraction(misses, math.factorial(n))
+    return loss
+
+
+def _regions(n, target, rng, perms):
+    """The empty region, the anchor, the target singleton, random single sets,
+    sphere points (the reversed order, farthest from the identity, among them)
+    and singles mixed with sphere points or the anchor."""
+    reversed_perm = tuple(range(n - 1, -1, -1))
+    return [Region(), Region(at_anchor=True), Region(singles={target}),
+            Region(singles=rng.sample(range(n), rng.randint(1, n))),
+            Region(singles={rng.randrange(n)}),
+            Region(sphere=rng.sample(perms, min(3, len(perms)))),
+            Region(sphere=[reversed_perm, perms[0]]),
+            Region(singles={rng.randrange(n)}, sphere=[rng.choice(perms)]),
+            Region(singles={target}, sphere=[reversed_perm]),
+            Region(at_anchor=True, singles={rng.randrange(n)})]
+
+
 def test_rank_oracle_counts_equal_the_per_permutation_sum():
     rng = random.Random(15)
-    for n in range(2, 7):
+    for n in range(2, 8):
         perms = list(permutations(range(n)))
-        for eps in (Fraction(1, 100), Fraction(1, 6)):
-            for target in range(n):
-                regions = [Region(), Region(singles={target}),
-                           Region(singles=rng.sample(range(n), rng.randint(1, n))),
-                           Region(sphere=rng.sample(perms, min(3, len(perms)))),
-                           Region(singles={rng.randrange(n)}, sphere=[rng.choice(perms)])]
-                for region in regions:
-                    got = _loss_rank(n, eps, target, region, Fraction(1, 10))
-                    assert got == _reference_loss_rank(n, eps, target, region), (n, target)
-                    assert isinstance(got, Fraction)
+        # a count scales one atom's weight, so past n = 4 one eps and the alpha
+        # of the families do; reach to a sphere point varies with alpha at n = 2
+        small = n <= 4
+        for target in range(n):
+            for region in _regions(n, target, rng, perms):
+                for eps in (Fraction(1, 100), Fraction(1, 6))[:2 if small else 1]:
+                    for alpha in (Fraction(1, 10), Fraction(1, 3))[:2 if small else 1]:
+                        got = _loss_rank(n, eps, target, region, alpha)
+                        want = _reference_loss_rank(n, eps, target, region, alpha)
+                        assert got == want, (n, target, region.singles, region.sphere)
+                        assert isinstance(got, Fraction)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_radius_and_prefix_oracle_counts_equal_the_per_permutation_loops(n):
+    rng = random.Random(16 + n)
+    perms = list(permutations(range(n)))
+    eps = Fraction(1, 100)
+    for target in range(n):
+        for region in _regions(n, target, rng, perms):
+            for alpha in (Fraction(1, 10), Fraction(1, 3)):
+                got = _loss_radius(n, eps, target, region, alpha)
+                assert got == _reference_loss_radius(n, eps, target, region, alpha), (
+                    n, target, region.singles, region.sphere, region.at_anchor)
+                assert isinstance(got, Fraction)
+            if not region.sphere:  # no sphere on the star
+                got = _loss_prefix(n, eps, target, region)
+                assert got == _reference_loss_prefix(n, eps, target, region), (
+                    n, target, region.singles, region.at_anchor)
+                assert isinstance(got, Fraction)
+
+
+def test_reach_decisions_per_key_equal_the_per_pair_decisions():
+    # at 0 < alpha <= 1/3 every rank negative reaches every sphere point from
+    # n = 3 on, so decisions that vary with (D, v) at n = 7 need a larger alpha
+    n = 7
+    s = sum(k * k for k in range(n))
+    P = np.array(list(permutations(range(n))))
+    identity, reversed_perm = tuple(range(n)), tuple(range(n - 1, -1, -1))
+    for alpha in (Fraction(1), Fraction(3, 2)):
+        for q in (identity, reversed_perm):
+            D = ((P - np.array(q)) ** 2).sum(axis=1)
+            got = _reaches(D, P[:, 0], n, alpha)
+            want = [_reference_rank_neg_reaches(tuple(p), q, p[0], alpha, s)
+                    for p in P.tolist()]
+            assert got.tolist() == want, (alpha, q)
+            assert 0 < sum(want) < len(want)
+    assert D.max() == 112  # the reversed order's key 112 * 7 + v exceeds int8
+
+
+def test_rank_reach_is_closed_at_the_boundary():
+    # d(p, q) == r exactly is a reach: alpha = 1/2, s = 4, v = 0 and D = 12
+    # give 2 (v+1) a / sqrt(s) = 1/2 = 1 + a^2 - D a^2 / s
+    half = Fraction(1, 2)
+    assert _rank_neg_reaches(12, 0, half, 4)
+    assert _reference_rank_neg_reaches((0,) * 12, (1,) * 12, 0, half, 4)
+    assert _rank_neg_reaches(11, 0, half, 4) and not _rank_neg_reaches(13, 0, half, 4)
+
+
+def test_oracle_reads_no_sampler_and_no_float_loss_path():
+    # the referee must stay independent of what it referees
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "oracle.py imports a stratgame module"
+            imported.add(node.module.split(".")[0])
+    assert imported <= {"math", "fractions", "itertools", "numpy"}, imported
