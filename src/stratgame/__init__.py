@@ -22,7 +22,6 @@ from .core import (
     predict,
     scaled_basis,
     strategic_loss,
-    validate_metric,
 )
 from .protocol import (
     ContractViolation,

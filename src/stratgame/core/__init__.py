@@ -1,5 +1,4 @@
 from .geometry import (
-    EXHAUSTIVE_LIMIT,
     MatrixSpace,
     MetricSpace,
     ORIGIN,
@@ -10,11 +9,9 @@ from .geometry import (
     StarSpace,
     TOL,
     basis,
-    iter_permutations,
     matrix_point,
     perm_point,
     scaled_basis,
-    validate_metric,
 )
 from .predictors import (
     ALL_NEGATIVE,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,11 +31,6 @@ Point = tuple
 # constructed spaces keep genuinely distinct distances separated by far more
 # than this.
 TOL = 1e-9
-
-# Metric validation: exhaustive triple check up to this many points, sampled
-# triples beyond.
-EXHAUSTIVE_LIMIT = 200
-SAMPLED_TRIPLES = 100_000
 
 
 class PointNotInSpace(ValueError):
@@ -156,15 +151,6 @@ class MatrixSpace(MetricSpace):
         self._index = {p: k for k, p in enumerate(self.points)}
         if len(self._index) != len(self.points):
             raise ValueError("duplicate point identities")
-
-    @classmethod
-    def from_metric(cls, points: Sequence[Point], fn) -> "MatrixSpace":
-        n = len(points)
-        m = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i, j] = m[j, i] = fn(points[i], points[j])
-        return cls(points, m)
 
     def contains(self, p: Point) -> bool:
         return p in self._index
@@ -298,6 +284,8 @@ class PermutationSphereSpace(MetricSpace):
     def __init__(self, n: int, alpha: float = 0.1, with_origin: bool = False):
         if n < 2:
             raise ValueError("permutation sphere needs n >= 2")
+        if not 0 < alpha < math.inf:  # also rejects nan
+            raise ValueError(f"alpha must satisfy 0 < alpha < inf, got {alpha!r}")
         self.n = n
         self.alpha = alpha
         self.with_origin = with_origin
@@ -402,36 +390,3 @@ class PermutationSphereSpace(MetricSpace):
 
     def diameter(self) -> float:
         return math.sqrt(2.0)
-
-
-def iter_permutations(n: int) -> Iterable[tuple]:
-    return itertools.permutations(range(n))
-
-
-def validate_metric(space: MetricSpace, rng: random.Random | None = None) -> None:
-    """Check the metric axioms, raising ValueError on violation.
-
-    Exhaustive over all triples for enumerable spaces up to 200 points;
-    otherwise 1e5 sampled triples.
-    """
-    if space.enumerable and space.points is not None and len(space.points) <= EXHAUSTIVE_LIMIT:
-        pts = space.points
-        m = np.array([[space.dist(p, q) for q in pts] for p in pts]).reshape(len(pts), len(pts))
-        # d(a,a), d(a,b) - d(b,a), d(a,b) and d(a,c) - d(a,b) - d(b,c) over all triples
-        self_d, asym, d = np.diag(m), m - m.T, m
-        excess = m[:, None, :] - m[:, :, None] - m[None, :, :]
-    else:
-        rng = rng or random.Random(0)
-        rows = []
-        for _ in range(SAMPLED_TRIPLES):
-            a, b, c = (space.sample_point(rng) for _ in range(3))
-            rows.append((space.dist(a, a), space.dist(a, b), space.dist(b, a),
-                         space.dist(a, c), space.dist(b, c)))
-        self_d, dab, dba, dac, dbc = np.array(rows).T
-        asym, d, excess = dab - dba, dab, dac - dab - dbc
-    for ok, message in ((np.abs(self_d) <= TOL, "d(a,a) != 0"),
-                        (np.abs(asym) <= TOL, "asymmetric distance"),
-                        (d >= -TOL, "negative distance"),
-                        (excess <= TOL, "triangle inequality violated")):
-        if not np.all(ok):
-            raise ValueError(message)

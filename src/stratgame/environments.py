@@ -9,6 +9,7 @@ next-choice distribution through the white-box view.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Sequence
@@ -21,7 +22,6 @@ from .core.geometry import (
     ScaledBasisSpace,
     StarSpace,
     basis,
-    iter_permutations,
     matrix_point,
     scaled_basis,
     shuffled_range,
@@ -43,6 +43,17 @@ def _check_n(name: str, n: int, least: int) -> None:
     """Reject a too-small n before any check that reads n."""
     if n < least:
         raise ParameterError(f"{name} needs n >= {least}, got n={n}")
+
+
+def _check_family(tag: str, n: int, least: int, target: int, eps: float,
+                  c: float, c_text: str) -> None:
+    """Reject n, then the target, then eps outside 0 < eps and c*eps <= 1
+    (written so that nan fails too)."""
+    _check_n(tag, n, least)
+    if not 0 <= target < n:
+        raise ParameterError("target index out of range")
+    if not (0 < eps and c * eps <= 1):
+        raise ParameterError(f"need 0 < eps and {c_text}*eps <= 1")
 
 
 def _check_reach_separation(space: PermutationSphereSpace) -> None:
@@ -93,48 +104,6 @@ def _spot_check(family, key) -> None:
 # population_loss sums the same terms as ever.
 
 
-class FiniteIIDSource:
-    """Explicit finite-support distribution over agents.
-
-    Atoms are (agent, probability) pairs; weights must sum to 1 within
-    1e-12 and the declared target must classify every atom correctly.
-    """
-
-    kind = "iid"
-    tag = "finite"
-    tie = TieBreak.FIXED_LOWEST
-
-    def __init__(self, space, hclass, target, atoms):
-        total = math.fsum(p for _, p in atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise ParameterError(f"atom probabilities sum to {total!r}, not 1")
-        self.space = space
-        self.hclass = hclass
-        self.target = target
-        self.atoms = tuple(atoms)
-        self._agents = [a for a, _ in self.atoms]
-        self.manipulation = manipulation_type(self._agents)
-        self._cum = []
-        acc = 0.0
-        for _, p in self.atoms:
-            acc += p
-            self._cum.append(acc)
-        h_star = hclass.union((target,))
-        for agent, _ in self.atoms:
-            if strategic_loss(space, h_star, agent) != 0:
-                raise ParameterError(f"target misclassifies atom {agent!r}")
-
-    def sample(self, rng: random.Random) -> Agent:
-        u = rng.random()
-        for agent, bound in zip(self._agents, self._cum):
-            if u <= bound:
-                return agent
-        return self._agents[-1]
-
-    def support(self):
-        return self.atoms
-
-
 class _PermutationFamily:
     """Base of the n! families: ``_atoms`` yields their (agent, weight) atoms,
     one per permutation of the n coordinates, enumerable up to n = 8."""
@@ -169,11 +138,7 @@ class SphereRadiusFamily(_PermutationFamily):
 
     def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
                  validate: bool = True):
-        _check_n(self.tag, n, 2)
-        if not 0 <= target < n:
-            raise ParameterError("target index out of range")
-        if eps <= 0 or 3 * n * eps > 1:
-            raise ParameterError("need 0 < eps and 3*n*eps <= 1")
+        _check_family(self.tag, n, 2, target, eps, 3 * n, "3*n")
         self.n = n
         self.eps = eps
         self.target = target
@@ -200,7 +165,7 @@ class SphereRadiusFamily(_PermutationFamily):
     def _atoms(self):
         yield self._origin_agent, 1 - self.sphere_mass
         w = self.sphere_mass / math.factorial(self.n)
-        for p in iter_permutations(self.n):
+        for p in itertools.permutations(range(self.n)):
             u = self._ball_u if p[self.target] == 0 else self._ball_l
             yield Agent(("perm", p), u, 1), w
 
@@ -221,11 +186,7 @@ class SphereRankFamily(_PermutationFamily):
 
     def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
                  validate: bool = True):
-        _check_n(self.tag, n, 2)
-        if not 0 <= target < n:
-            raise ParameterError("target index out of range")
-        if eps <= 0 or 6 * eps > 1:
-            raise ParameterError("need 0 < eps and 6*eps <= 1")
+        _check_family(self.tag, n, 2, target, eps, 6, "6")
         self.n = n
         self.eps = eps
         self.target = target
@@ -253,7 +214,7 @@ class SphereRankFamily(_PermutationFamily):
     def _atoms(self):
         nf = math.factorial(self.n)
         w_pos, w_neg = (1 - self.neg_mass) / nf, self.neg_mass / nf
-        for p in iter_permutations(self.n):
+        for p in itertools.permutations(range(self.n)):
             x = ("perm", p)  # one point for both labels
             yield Agent(x, self._pos_ball, 1), w_pos
             yield Agent(x, self._neg_balls[p[self.target]], -1), w_neg
@@ -272,11 +233,7 @@ class StarSpokeFamily:
     tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
-        _check_n(self.tag, n, 1)
-        if not 0 <= target < n:
-            raise ParameterError("target index out of range")
-        if eps <= 0 or 3 * (n - 1) * eps > 1:
-            raise ParameterError("need 0 < eps and 3*(n-1)*eps <= 1")
+        _check_family(self.tag, n, 1, target, eps, 3 * (n - 1), "3*(n-1)")
         self.n = n
         self.eps = eps
         self.target = target
@@ -319,11 +276,7 @@ class PrefixSetFamily(_PermutationFamily):
     tie = TieBreak.UNIFORM_RANDOM
 
     def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
-        _check_n(self.tag, n, 1)
-        if not 0 <= target < n:
-            raise ParameterError("target index out of range")
-        if eps <= 0 or 6 * eps > 1:
-            raise ParameterError("need 0 < eps and 6*eps <= 1")
+        _check_family(self.tag, n, 1, target, eps, 6, "6")
         self.n = n
         self.eps = eps
         self.target = target
@@ -354,7 +307,7 @@ class PrefixSetFamily(_PermutationFamily):
         w = self.neg_mass / math.factorial(self.n)
         # a negative is its prefix set, so n! orders share 2^(n-1) atoms
         shared = {}
-        for order in iter_permutations(self.n):
+        for order in itertools.permutations(range(self.n)):
             prefix = frozenset(order[:order.index(self.target)])
             atom = shared.get(prefix)
             if atom is None:

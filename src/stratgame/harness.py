@@ -3,7 +3,7 @@
 A config names an environment, a learner, a setting and a horizon, plus the
 seeds to run and the bound formulas to evaluate.  Every seed produces one
 row (mistakes, rounds, output loss for PAC runs); aggregates and bound
-verdicts are pure functions of the rows, so reports regenerate bit-exactly.
+verdicts are pure functions of the rows, so equal rows give equal reports.
 Seeds run in parallel, one worker per CPU this process may use, unless
 ``threads`` or STRATGAME_THREADS names another count; rows do not depend on
 the worker count.
@@ -300,11 +300,6 @@ class MetricsReport:
         agg = aggregate_rows(rows)
         bounds = evaluate_bounds(cfg, rows, agg)
         return cls(SCHEMA_VERSION, asdict(cfg), rows, agg, bounds)
-
-    def regenerate(self) -> "MetricsReport":
-        """Rebuild aggregates and bounds from the stored rows; bit-exact."""
-        cfg = ExperimentConfig(**self.config)
-        return MetricsReport.from_rows(cfg, self.rows)
 
 
 def check_config(cfg: ExperimentConfig) -> None:

@@ -86,7 +86,7 @@ def check_family(tag: str, n: int, eps, target: int) -> None:
         raise KeyError(f"no exact oracle for family {tag!r}")
     if n < least:
         raise ValueError(f"{tag} needs n >= {least}, got n={n}")
-    if eps <= 0 or c * eps > 1:
+    if not (0 < eps and c * eps <= 1):  # also rejects nan
         raise ValueError(f"{tag} at n={n} needs 0 < eps and {c}*eps <= 1, got eps={eps}")
     if not 0 <= target < n:
         raise ValueError(f"target must be in 0..{n - 1}, got {target}")

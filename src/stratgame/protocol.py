@@ -18,7 +18,6 @@ feedback the learner saw or, on a skipped round, would have seen.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from enum import Enum, IntEnum
@@ -138,24 +137,6 @@ def build_feedback(setting: Setting, t: int, f: Hypothesis, agent: Agent,
                     delta if setting.reveals_delta else None)
 
 
-def point_str(p: Point) -> str:
-    tag = p[0]
-    if tag == "origin":
-        return "origin"
-    if tag == "perm":
-        return "perm:" + "-".join(str(v) for v in p[1])
-    return f"{tag}:{p[1]}"
-
-
-def predictor_indices(f: Hypothesis) -> list:
-    """Sorted class indices of a union; [] encodes the all-negative predictor."""
-    if f.parts is not None:
-        return list(f.key())
-    if not f.positive:
-        return []
-    raise ValueError("predictor is not a class union; cannot serialize by index")
-
-
 class Transcript:
     """The feedback of every round; replaying the seed reproduces it bit-exactly."""
 
@@ -164,25 +145,6 @@ class Transcript:
         self.T = T
         self.rounds: list[Feedback] = []
         self.mistakes = 0
-
-    def round_dict(self, fb: Feedback) -> dict:
-        d = {
-            "t": fb.t,
-            "setting": self.setting.value,
-            "predictor": predictor_indices(fb.predictor),
-            "y": fb.y,
-            "y_hat": fb.y_hat,
-            "mistake": fb.mistake,
-        }
-        if fb.has_x:
-            d["x"] = point_str(fb.x)
-        if fb.has_delta:
-            d["delta"] = point_str(fb.delta)
-        return d
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(self.round_dict(r), sort_keys=True)
-                         for r in self.rounds)
 
 
 class Exposure(IntEnum):

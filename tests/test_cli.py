@@ -446,6 +446,17 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n"
     (["--env", "random-realizable", "--learner", "halving", "--n", "1", "--stream-space",
       "sphere", "--T", "5", "--seeds", "1"], None,
      "random-realizable on sphere needs n >= 2, got n=1"),
+    # a nan family eps, and an alpha outside (0, inf)
+    (["--env", "appJ", "--learner", "seq-elim", "--n", "4", "--eps", "nan", "--T", "5",
+      "--seeds", "1"], None, "need 0 < eps and 3*(n-1)*eps <= 1"),
+    (["--env", "appG", "--learner", "survivor:seq-elim", "--n", "4", "--eps", "0.1",
+      "--delta", "0.1", "--env-eps", "nan", "--T", "50", "--seeds", "2"], None,
+     "need 0 < eps and 3*n*eps <= 1"),
+    *((argv + ["--alpha", alpha], None, f"alpha must satisfy 0 < alpha < inf, got {got}")
+      for argv in (["--env", "appG", "--learner", "random-union", "--n", "6", "--eps",
+                    "0.05", "--T", "10", "--seeds", "2"],
+                   _RR + ["--stream-space", "sphere"])
+      for alpha, got in (("0", "0.0"), ("inf", "inf"), ("nan", "nan"))),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):

@@ -36,7 +36,7 @@ from stratgame.protocol import (
     run_online,
 )
 
-from helpers import ConstantLearner
+from helpers import ConstantLearner, FiniteIIDSource, to_jsonl
 
 
 # ----------------------------------------------------------- star counter
@@ -639,7 +639,7 @@ def test_sphere_transcript_serializes_perm_points():
     env = make_environment("appG", 4, eps=0.02, target=3)
     lrn = make_learner("random-union")
     tr = _run(env.source_for_run(0, 30), lrn, Setting.XD_AFTER, 30, 0)
-    payload = [json.loads(line) for line in tr.to_jsonl().splitlines()]
+    payload = [json.loads(line) for line in to_jsonl(tr).splitlines()]
     perm_rows = [r for r in payload if r["x"].startswith("perm:")]
     assert perm_rows, "expected sphere draws in 30 rounds"
     for r in perm_rows:
@@ -651,7 +651,6 @@ def test_finite_iid_source_validation_and_sampling():
     from stratgame.core.geometry import StarSpace
     from stratgame.core.predictors import HypothesisClass
     from stratgame.core.response import Agent, Ball
-    from stratgame.environments import FiniteIIDSource
 
     space = StarSpace(4)
     hclass = HypothesisClass([matrix_point(i) for i in range(1, 5)])
@@ -673,7 +672,6 @@ def test_point_mass_positive_gives_zero_output_loss():
     from stratgame.core.geometry import StarSpace
     from stratgame.core.predictors import HypothesisClass
     from stratgame.core.response import Agent, Ball, population_loss
-    from stratgame.environments import FiniteIIDSource
     from stratgame.protocol import run_pac
 
     space = StarSpace(4)

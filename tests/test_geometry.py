@@ -1,4 +1,6 @@
+import itertools
 import math
+import os
 import random
 import subprocess
 import sys
@@ -15,14 +17,14 @@ from stratgame.core.geometry import (
     ScaledBasisSpace,
     StarSpace,
     basis,
-    iter_permutations,
     matrix_point,
     perm_point,
     randbelow,
     scaled_basis,
     shuffled_range,
-    validate_metric,
 )
+
+from helpers import from_metric, validate_metric
 
 
 def test_star_distances():
@@ -142,7 +144,7 @@ def test_sphere_basis_row_to_sphere_points_equals_dist_bit_for_bit():
     # population_loss reads d(x, p) for sphere atoms x from dist_row(p, xs)
     for n in range(2, 7):
         space = PermutationSphereSpace(n, with_origin=True)
-        perms = tuple(perm_point(p) for p in iter_permutations(n))
+        perms = tuple(perm_point(p) for p in itertools.permutations(range(n)))
         mixed = [ORIGIN, perms[-1], basis(0), basis(n - 1)] + list(perms[:5]) + [ORIGIN]
         for targets in (perms, mixed, tuple(mixed)):
             for _ in range(2):  # the second call reads the kept values
@@ -196,7 +198,7 @@ def test_sample_point_replays_randrange_and_rejects_an_empty_space():
 
 def test_matrix_space_from_metric_and_errors():
     pts = [matrix_point(i) for i in range(4)]
-    m = MatrixSpace.from_metric(pts, lambda a, b: abs(a[1] - b[1]))
+    m = from_metric(pts, lambda a, b: abs(a[1] - b[1]))
     assert m.dist(pts[0], pts[3]) == 3.0
     validate_metric(m)
     with pytest.raises(PointNotInSpace):
@@ -216,7 +218,8 @@ def test_point_identity_order_is_total():
 
 _BAD_METRIC = """
 import sys
-from stratgame.core.geometry import MatrixSpace, matrix_point, validate_metric
+from stratgame.core.geometry import MatrixSpace, matrix_point
+from helpers import validate_metric
 
 print("optimize", sys.flags.optimize)
 # d(0,2) = 5 exceeds d(0,1) + d(1,2) = 2
@@ -229,10 +232,11 @@ def test_validate_metric_rejects_triangle_violation_under_python_O():
     bad = MatrixSpace([matrix_point(i) for i in range(3)], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     with pytest.raises(ValueError, match="triangle inequality violated"):
         validate_metric(bad)
-    src = Path(__file__).resolve().parents[1] / "src"
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(str(p) for p in (tests.parent / "src", tests))
     proc = subprocess.run([sys.executable, "-O", "-c", _BAD_METRIC],
                           capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": str(src), "PATH": ""})
+                          env={"PYTHONPATH": path, "PATH": ""})
     assert proc.stdout.splitlines() == ["optimize 1"]
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1] == "ValueError: triangle inequality violated"

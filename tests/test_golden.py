@@ -1,7 +1,7 @@
 """Pinned transcripts: refactors of the round loop must keep them byte-identical.
 
 Each case runs one (environment, learner, setting) triple on seeds 0, 1 and 2
-with ``record="full"`` and compares the sha256 of ``Transcript.to_jsonl()``
+with ``record="full"`` and compares the sha256 of ``helpers.to_jsonl``
 (one row per round, written from the round's ``Feedback``) and the
 mistake count with the pinned values.  A change to a random stream
 must re-pin the table on purpose: ``python tests/test_golden.py`` prints it.
@@ -21,6 +21,8 @@ import pytest
 from stratgame.environments import make_environment
 from stratgame.learners import make_learner
 from stratgame.protocol import Setting, run_online
+
+from helpers import to_jsonl
 
 SEEDS = (0, 1, 2)
 
@@ -81,7 +83,7 @@ def _run(env_key: str, learner_name: str, setting: str, seed: int,
         learner.skip = lambda m: skips.append(m) or skip(m)
     tr = run_online(env.source_for_run(seed, T), learner, Setting.from_name(setting),
                     T, seed, record="full")
-    return tr.mistakes, hashlib.sha256(tr.to_jsonl().encode()).hexdigest()
+    return tr.mistakes, hashlib.sha256(to_jsonl(tr).encode()).hexdigest()
 
 
 GOLDEN = {

@@ -9,6 +9,7 @@ import pytest
 from stratgame.environments import make_environment
 from stratgame.harness import (
     ExperimentConfig,
+    MetricsReport,
     _threads,
     aggregate_rows,
     emit_report,
@@ -119,7 +120,7 @@ def test_pac_mode_measures_output_loss():
 
 def test_aggregates_recompute_identically():
     report = run_experiment(_small_cfg())
-    again = report.regenerate()
+    again = MetricsReport.from_rows(ExperimentConfig(**report.config), report.rows)
     assert again.to_dict() == report.to_dict()
     assert aggregate_rows(report.rows) == report.aggregate
 

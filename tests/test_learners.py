@@ -5,8 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from stratgame.core.geometry import (MatrixSpace, StarSpace, matrix_point, randbelow,
-                                     validate_metric)
+from stratgame.core.geometry import StarSpace, matrix_point, randbelow
 from stratgame.core.predictors import Hypothesis, HypothesisClass
 from stratgame.core.response import Ball, ManipulationSet
 from stratgame.environments import make_environment
@@ -32,13 +31,13 @@ from stratgame.protocol import (
     run_round,
 )
 
-from helpers import ConstantLearner
+from helpers import ConstantLearner, from_metric, validate_metric
 
 
 def line_space(n):
     """x at coordinate 0 plus n singleton anchors at coordinates 1..n."""
     pts = [matrix_point(i) for i in range(n + 1)]
-    space = MatrixSpace.from_metric(pts, lambda a, b: abs(a[1] - b[1]))
+    space = from_metric(pts, lambda a, b: abs(a[1] - b[1]))
     hclass = HypothesisClass(pts[1:])
     return space, hclass
 
@@ -69,7 +68,7 @@ def test_halving_median_odd_distances():
     pts = [matrix_point(0), matrix_point(1), matrix_point(2), matrix_point(3)]
     dist = {frozenset((0, 1)): 0.5, frozenset((0, 2)): 1.0, frozenset((0, 3)): 2.0,
             frozenset((1, 2)): 1.5, frozenset((1, 3)): 2.5, frozenset((2, 3)): 3.0}
-    space = MatrixSpace.from_metric(pts, lambda a, b: dist[frozenset((a[1], b[1]))])
+    space = from_metric(pts, lambda a, b: dist[frozenset((a[1], b[1]))])
     validate_metric(space)
     hclass = HypothesisClass(pts[1:])
     lrn = _reset(make_learner("halving"), hclass, space, Setting.X_BEFORE)

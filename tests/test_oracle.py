@@ -221,6 +221,7 @@ def test_oracles_accept_every_float_eps_the_family_accepts():
     ("appK", Fraction(-1, 10), 0, "got eps=-1/10"),
     ("appK", Fraction(1, 10), 9, "target must be in 0..4, got 9"),
     ("appG", Fraction(1, 100), -1, "target must be in 0..4, got -1"),
+    ("appJ", float("nan"), 0, "got eps=nan"),
 ])
 def test_oracles_reject_eps_and_target_outside_the_family(tag, eps, target, message):
     with pytest.raises(ValueError, match=re.escape(message)):

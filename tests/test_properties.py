@@ -9,12 +9,10 @@ import pytest
 from stratgame.core.geometry import (
     ORIGIN,
     TOL,
-    MatrixSpace,
     ScaledBasisSpace,
     StarSpace,
     basis,
     matrix_point,
-    validate_metric,
 )
 from stratgame.core.predictors import Hypothesis, HypothesisClass, predict
 from stratgame.core.response import (Agent, Ball, Explicit, TieBreak, best_response,
@@ -23,7 +21,7 @@ from stratgame.environments import make_environment, random_realizable_stream
 from stratgame.learners import MedianHalvingLearner, make_learner
 from stratgame.protocol import RngStreams, Setting, run_online, run_round
 
-from helpers import distance_to_hypothesis
+from helpers import distance_to_hypothesis, from_metric, validate_metric
 from test_learners import line_space
 
 
@@ -34,7 +32,7 @@ def euclidean_space(draw):
     rng = random.Random(seed)
     coords = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
     pts = [matrix_point(i) for i in range(n)]
-    space = MatrixSpace.from_metric(
+    space = from_metric(
         pts, lambda a, b: math.dist(coords[a[1]], coords[b[1]]))
     return space
 

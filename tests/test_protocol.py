@@ -24,7 +24,7 @@ from stratgame.protocol import (
     run_round,
 )
 
-from helpers import ConstantLearner
+from helpers import ConstantLearner, to_jsonl
 
 
 @pytest.fixture
@@ -147,7 +147,7 @@ def test_transcript_replay_is_bit_exact():
     for _ in range(2):
         learner = make_learner("mwmr")
         tr = run_online(env.source_for_run(7, 60), learner, Setting.XD_AFTER, 60, 7)
-        out.append(tr.to_jsonl())
+        out.append(to_jsonl(tr))
     assert out[0] == out[1]
     first = json.loads(out[0].splitlines()[0])
     assert set(first) == {"t", "setting", "predictor", "y", "y_hat", "mistake",
@@ -178,7 +178,7 @@ def test_delta_only_transcript_hides_x():
     env = make_environment("random-realizable", 5, stream_space="star")
     tr = run_online(env.source_for_run(1, 20), make_learner("seq-elim"),
                     Setting.DELTA_ONLY, 20, 1)
-    rec = json.loads(tr.to_jsonl().splitlines()[0])
+    rec = json.loads(to_jsonl(tr).splitlines()[0])
     assert "x" not in rec and "delta" in rec
 
 
@@ -626,7 +626,7 @@ def _skipped_rounds(monkeypatch, source, make, setting, T, seed):
         s = made[-1]
         out.append((tr.mistakes, tr.T, parts, s.learner.getstate(), s.tie.getstate(),
                     s.agent.getstate(), s.estimate.getstate(),
-                    tr.to_jsonl() if record == "full" else None))
+                    to_jsonl(tr) if record == "full" else None))
         rounds.append(played[0])
     full, counts, playing = out
     assert full == playing
@@ -746,7 +746,7 @@ def test_reused_responses_leave_the_run_as_it_was(monkeypatch, name):
             calls.clear()
             tr = run_online(source, make_learner(name), Setting.XD_AFTER, 400, seed)
             s = made[-1]
-            out.append((tr.to_jsonl(), tr.mistakes, s.learner.getstate(),
+            out.append((to_jsonl(tr), tr.mistakes, s.learner.getstate(),
                         s.tie.getstate(), s.estimate.getstate()))
             responses.append(len(calls))
         assert out[0] == out[1]
