@@ -106,20 +106,14 @@ class MetricSpace:
     enumerable: bool = False
     points: list | None = None
 
-    def contains(self, p: Point) -> bool:
-        raise NotImplementedError
-
     def dist(self, a: Point, b: Point) -> float:
         """Distance between two point identities.
 
-        Identities are trusted on this hot path; callers that accept outside
-        input validate with ``check_point`` first.
+        Identities are trusted on this hot path; the one outside input of
+        points, a predictor given to the exact oracle, is checked by
+        ``oracle.describe_region``.
         """
         raise NotImplementedError
-
-    def check_point(self, p: Point) -> None:
-        if not self.contains(p):
-            raise PointNotInSpace(f"point not in space: {p!r}")
 
     def dist_row(self, x: Point, targets: Sequence[Point]) -> np.ndarray:
         """Distances from ``x`` to each target, as a float array."""
@@ -151,9 +145,6 @@ class MatrixSpace(MetricSpace):
         self._index = {p: k for k, p in enumerate(self.points)}
         if len(self._index) != len(self.points):
             raise ValueError("duplicate point identities")
-
-    def contains(self, p: Point) -> bool:
-        return p in self._index
 
     def index_of(self, p: Point) -> int:
         try:
@@ -189,9 +180,6 @@ class StarSpace(MetricSpace):
         self.n = n
         self.points = [matrix_point(k) for k in range(n + 1)]
         self._ids_of = self._ids = None  # the last target tuple and its point ids
-
-    def contains(self, p: Point) -> bool:
-        return p[0] == "idx" and 0 <= p[1] <= self.n
 
     def dist(self, a: Point, b: Point) -> float:
         i, j = a[1], b[1]
@@ -237,10 +225,6 @@ class ScaledBasisSpace(MetricSpace):
         self.points = [ORIGIN] + [basis(i) for i in range(n)] + [
             scaled_basis(i) for i in range(n)
         ]
-        self._pointset = set(self.points)
-
-    def contains(self, p: Point) -> bool:
-        return p in self._pointset
 
     def _vec_norm2(self, p: Point) -> float:
         # squared norm of the underlying vector
@@ -292,19 +276,7 @@ class PermutationSphereSpace(MetricSpace):
         self.coord_sq_sum = sum(k * k for k in range(n))  # sum of 0^2..(n-1)^2
         self.z = math.sqrt(self.coord_sq_sum) / alpha
         self.one_plus_alpha2 = 1.0 + alpha ** 2  # d(p, e_i)^2 = this - 2 p_i / z
-        self._value_set = frozenset(range(n))
         self._perms_of = self._perms = None  # the last target tuple and its perm values
-
-    def contains(self, p: Point) -> bool:
-        tag = p[0]
-        if tag == "origin":
-            return self.with_origin
-        if tag == "basis":
-            return 0 <= p[1] < self.n
-        if tag == "perm":
-            vals = p[1]
-            return len(vals) == self.n and set(vals) == self._value_set
-        return False
 
     def dist(self, a: Point, b: Point) -> float:
         ta, tb = a[0], b[0]

@@ -29,9 +29,6 @@ class Hypothesis:
         self.positive = frozenset(positive)
         self.parts = parts
 
-    def label(self, x: Point) -> int:
-        return 1 if x in self.positive else -1
-
     def key(self) -> tuple:
         """Sorted distinct part indices; identity of the predicted function."""
         return tuple(sorted(set(self.parts)))
@@ -85,11 +82,9 @@ class HypothesisClass:
         return Hypothesis([pts[i] for i in parts], parts)
 
 
-def predict(f: Hypothesis, x: Point, space: MetricSpace | None = None) -> int:
+def predict(f: Hypothesis, x: Point) -> int:
     """Evaluate the predictor at a point; +1 iff x lies in the positive region."""
-    if space is not None:
-        space.check_point(x)
-    return f.label(x)
+    return 1 if x in f.positive else -1
 
 
 class ClassDistanceIndex:

@@ -29,6 +29,7 @@ from .core.geometry import (
 from .core.predictors import HypothesisClass
 from .core.response import (Agent, Ball, Explicit, TieBreak, manipulation_type,
                             strategic_loss)
+from .oracle import check_family
 from .protocol import ContractViolation, Exposure, LearnerView
 
 SPOT_CHECK_SAMPLES = 10_000
@@ -43,17 +44,6 @@ def _check_n(name: str, n: int, least: int) -> None:
     """Reject a too-small n before any check that reads n."""
     if n < least:
         raise ParameterError(f"{name} needs n >= {least}, got n={n}")
-
-
-def _check_family(tag: str, n: int, least: int, target: int, eps: float,
-                  c: float, c_text: str) -> None:
-    """Reject n, then the target, then eps outside 0 < eps and c*eps <= 1
-    (written so that nan fails too)."""
-    _check_n(tag, n, least)
-    if not 0 <= target < n:
-        raise ParameterError("target index out of range")
-    if not (0 < eps and c * eps <= 1):
-        raise ParameterError(f"need 0 < eps and {c_text}*eps <= 1")
 
 
 def _check_reach_separation(space: PermutationSphereSpace) -> None:
@@ -104,11 +94,23 @@ def _spot_check(family, key) -> None:
 # population_loss sums the same terms as ever.
 
 
-class _PermutationFamily:
-    """Base of the n! families: ``_atoms`` yields their (agent, weight) atoms,
-    one per permutation of the n coordinates, enumerable up to n = 8."""
+class _Family:
+    """Base of the four i.i.d. families, whose n, eps and target the oracle's
+    ``check_family`` checks.  The n! families (all but appJ) yield their
+    (agent, weight) atoms from ``_atoms``, one per permutation, up to n = 8."""
 
+    kind = "iid"
+    tie = TieBreak.FIXED_LOWEST
     _support = None
+
+    def __init__(self, n: int, eps: float, target: int):
+        try:
+            check_family(self.tag, n, eps, target)
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from None
+        self.n = n
+        self.eps = eps
+        self.target = target
 
     def iter_support(self):
         """A fresh iterator over the atoms, in support order; None above n = 8."""
@@ -121,7 +123,7 @@ class _PermutationFamily:
         return self._support
 
 
-class SphereRadiusFamily(_PermutationFamily):
+class SphereRadiusFamily(_Family):
     """Sphere positives whose manipulation radius encodes the target.
 
     Mass 1 - 3n*eps sits on a radius-zero negative at the origin; the rest
@@ -131,17 +133,12 @@ class SphereRadiusFamily(_PermutationFamily):
     singleton is then reachable by every positive.
     """
 
-    kind = "iid"
     tag = "appG"
     manipulation = Ball
-    tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
                  validate: bool = True):
-        _check_family(self.tag, n, 2, target, eps, 3 * n, "3*n")
-        self.n = n
-        self.eps = eps
-        self.target = target
+        super().__init__(n, eps, target)
         self.space = PermutationSphereSpace(n, alpha=alpha, with_origin=True)
         _check_reach_separation(self.space)
         self.hclass = HypothesisClass([basis(i) for i in range(n)])
@@ -170,7 +167,7 @@ class SphereRadiusFamily(_PermutationFamily):
             yield Agent(("perm", p), u, 1), w
 
 
-class SphereRankFamily(_PermutationFamily):
+class SphereRankFamily(_Family):
     """Uniform sphere marginal with noisy labels; negatives reach exactly the
     singletons whose coordinate beats the target's.
 
@@ -179,17 +176,12 @@ class SphereRankFamily(_PermutationFamily):
     below the target distance.
     """
 
-    kind = "iid"
     tag = "appI"
     manipulation = Ball
-    tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
                  validate: bool = True):
-        _check_family(self.tag, n, 2, target, eps, 6, "6")
-        self.n = n
-        self.eps = eps
-        self.target = target
+        super().__init__(n, eps, target)
         self.space = PermutationSphereSpace(n, alpha=alpha, with_origin=False)
         _check_reach_separation(self.space)
         self.hclass = HypothesisClass([basis(i) for i in range(n)])
@@ -220,23 +212,18 @@ class SphereRankFamily(_PermutationFamily):
             yield Agent(x, self._neg_balls[p[self.target]], -1), w_neg
 
 
-class StarSpokeFamily:
+class StarSpokeFamily(_Family):
     """Star-space family: a heavy hub positive and light off-target spoke negatives.
 
     All agents carry radius 1, so positives can always reach a spoke and
     negatives can reach the hub but never another spoke.
     """
 
-    kind = "iid"
     tag = "appJ"
     manipulation = Ball
-    tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
-        _check_family(self.tag, n, 1, target, eps, 3 * (n - 1), "3*(n-1)")
-        self.n = n
-        self.eps = eps
-        self.target = target
+        super().__init__(n, eps, target)
         self.space = StarSpace(n)
         self.hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
         self.neg_mass = 3 * (n - 1) * eps
@@ -261,7 +248,7 @@ class StarSpokeFamily:
     iter_support = support  # n atoms at any n: nothing to stream
 
 
-class PrefixSetFamily(_PermutationFamily):
+class PrefixSetFamily(_Family):
     """Non-ball family: everyone starts at the hub with an explicit set.
 
     Positives may move anywhere; each negative's set holds the hub plus the
@@ -270,16 +257,12 @@ class PrefixSetFamily(_PermutationFamily):
     random here.
     """
 
-    kind = "iid"
     tag = "appK"
     manipulation = Explicit
     tie = TieBreak.UNIFORM_RANDOM
 
     def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
-        _check_family(self.tag, n, 1, target, eps, 6, "6")
-        self.n = n
-        self.eps = eps
-        self.target = target
+        super().__init__(n, eps, target)
         self.space = StarSpace(n)
         self.hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
         self.neg_mass = 6 * eps

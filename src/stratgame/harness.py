@@ -85,24 +85,30 @@ def _threads(threads: int | None) -> int:
 _env_cache: dict = {}
 
 
-# The environment parameters and the environments that read them; a random
-# stream reads alpha only on a sphere.
+_FAMILIES = ("appG", "appI", "appJ", "appK")
+
+# The parameters that only some runs read, and the environments that read
+# them, or for budget and base_rounds the learner wrappers, named before the
+# colon; a random stream reads alpha only on a sphere.
 _READERS = {"alpha": ("appG", "appI", "random-realizable"), "c": ("appE",),
             "estimation_samples": ("appE",), "stream_space": ("random-realizable",),
-            "radius_law": ("random-realizable",)}
+            "radius_law": ("random-realizable",), "env_eps": _FAMILIES,
+            "target": ("appE", *_FAMILIES, "random-realizable"),
+            "budget": ("survivor",), "base_rounds": ("boost",)}
 
 
 def _check_read(cfg: ExperimentConfig) -> None:
-    """Reject a non-default environment parameter that the environment ignores."""
+    """Reject a non-default parameter that the environment or the learner ignores."""
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
         if f.name not in _READERS or value == f.default:
             continue
-        env, reads = cfg.env, cfg.env in _READERS[f.name]
-        if f.name == "alpha" and env == "random-realizable":
-            env, reads = f"{env} on {cfg.stream_space}", cfg.stream_space.startswith("sphere")
+        who = cfg.learner if f.name in ("budget", "base_rounds") else cfg.env
+        reads = who.partition(":")[0] in _READERS[f.name]
+        if f.name == "alpha" and who == "random-realizable":
+            who, reads = f"{who} on {cfg.stream_space}", cfg.stream_space.startswith("sphere")
         if not reads:
-            raise ValueError(f"{env} does not read {f.name}; leave it at "
+            raise ValueError(f"{who} does not read {f.name}; leave it at "
                              f"{f.default!r}, got {value!r}")
 
 
@@ -115,7 +121,6 @@ def _environment(cfg: ExperimentConfig):
     if env is None:
         _env_cache.clear()
         env = make_environment(**args)
-        _check_read(cfg)
         _env_cache[key] = env
     return env
 
@@ -328,6 +333,7 @@ def check_config(cfg: ExperimentConfig) -> None:
                 raise ValueError(f"bound {name!r} needs {key} in its spec" + (
                     " or in the config" if keys[key] == "cfg" else ""))
     env = _environment(cfg)
+    _check_read(cfg)
     if mode == "pac" and env.family is None:
         raise ValueError(f"pac mode needs an i.i.d. family environment; "
                          f"{cfg.env!r} is not one")

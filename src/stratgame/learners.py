@@ -274,7 +274,9 @@ class SurvivorConfig:
 
 
 class LongestSurvivor(Learner):
-    """PAC wrapper: output the first predictor the base keeps for long enough."""
+    """PAC wrapper: output the first predictor the base keeps for long enough.
+    A base that chooses from x changes its choice with x on rounds without a
+    mistake, so no predictor would survive: it is rejected."""
 
     name = "survivor"
     conservative = True
@@ -282,6 +284,9 @@ class LongestSurvivor(Learner):
     def __init__(self, base: Learner, config: SurvivorConfig):
         if not base.conservative:
             raise ContractViolation("longest-survivor needs a conservative base learner")
+        if base.requires is Setting.X_BEFORE:
+            raise ContractViolation(f"longest-survivor needs a base that chooses "
+                                    f"without x; {base.name} chooses from x")
         self.base = base
         self.config = config
         self.name = f"survivor:{base.name}"
@@ -467,13 +472,6 @@ class BoostLearner(Learner):
 # ---------------------------------------------------------------------------
 # registry
 
-def mistake_budget(name: str, n: int) -> int:
-    """Worst-case distinct-predictor budget of a base learner on a class of size n."""
-    if name == "halving":
-        return math.ceil(math.log2(n)) + 1
-    return n
-
-
 def default_union_rounds(n: int, epsilon: float) -> int:
     """Round budget under which the random-union learner reaches expected loss epsilon."""
     return math.ceil(320.0 * math.log2(n) * math.log(n) / epsilon)
@@ -512,9 +510,9 @@ def make_learner(name: str, n: int | None = None, epsilon: float | None = None,
     if size is None and n is None:
         raise ValueError(f"{wrapper} wrapper needs {size_name} or the class size")
     if wrapper == "survivor":
-        if budget is None:
-            budget = mistake_budget(base_name, n)
-        cfg = SurvivorConfig(budget=budget, epsilon=epsilon, delta=delta)
+        # a conservative base that chooses without x plays at most n predictors
+        cfg = SurvivorConfig(budget=n if budget is None else budget, epsilon=epsilon,
+                             delta=delta)
         return LongestSurvivor(_BASES[base_name](), cfg)
     if base_rounds is None:
         base_rounds = default_union_rounds(n, epsilon)

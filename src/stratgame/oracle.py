@@ -139,19 +139,22 @@ def _reaches(D: np.ndarray, v: np.ndarray, n: int, alpha: Fraction) -> np.ndarra
 
 def exact_loss(tag: str, n: int, eps, target: int, f,
                alpha=Fraction(1, 10)) -> Fraction:
-    """Exact population strategic loss of f on the named family (n <= 7)."""
+    """Exact population strategic loss of f on the named family (n <= 7).
+    appG and appI need 0 < alpha <= 1/3: on appG that makes 2*alpha <= r_l,
+    so the origin and every sphere point are in reach of the positives."""
     check_family(tag, n, eps, target)
     eps = _as_fraction(eps)
-    alpha = _as_fraction(alpha)
     region = describe_region(tag, n, f)
     if tag == "appJ":
         return _loss_star(n, eps, target, region)
     _check_exact_size(n)
     if tag == "appK":
         return _loss_prefix(n, eps, target, region)
+    if not 0 < alpha <= Fraction(1, 3):  # also rejects nan
+        raise ValueError(f"exact sphere reasoning needs 0 < alpha <= 1/3, got alpha={alpha}")
     if tag == "appG":
-        return _loss_radius(n, eps, target, region, alpha)
-    return _loss_rank(n, eps, target, region, alpha)
+        return _loss_radius(n, eps, target, region)
+    return _loss_rank(n, eps, target, region, _as_fraction(alpha))
 
 
 def _loss_star(n: int, eps: Fraction, target: int, region: Region) -> Fraction:
@@ -183,12 +186,7 @@ def _loss_prefix(n: int, eps: Fraction, target: int, region: Region) -> Fraction
     return loss
 
 
-def _loss_radius(n: int, eps: Fraction, target: int, region: Region,
-                 alpha: Fraction) -> Fraction:
-    # alpha <= 1/3 makes 2*alpha <= r_l, so origin and within-sphere targets
-    # are always in reach of the sphere positives
-    if alpha <= 0 or alpha > Fraction(1, 3):
-        raise ValueError("exact sphere reasoning needs 0 < alpha <= 1/3")
+def _loss_radius(n: int, eps: Fraction, target: int, region: Region) -> Fraction:
     loss = Fraction(0)
     sphere_mass = 3 * n * eps
     if region.at_anchor:
@@ -206,8 +204,6 @@ def _loss_radius(n: int, eps: Fraction, target: int, region: Region,
 
 def _loss_rank(n: int, eps: Fraction, target: int, region: Region,
                alpha: Fraction) -> Fraction:
-    if alpha <= 0 or alpha > Fraction(1, 3):
-        raise ValueError("exact sphere reasoning needs 0 < alpha <= 1/3")
     if region.empty:
         return 1 - 6 * eps  # radius-2 positives reach any nonempty region
     P = _permutations(n)

@@ -4,7 +4,8 @@
 ``distance_to_hypothesis`` is the reference distance from a point to a
 predictor's positive region, computed point by point.
 ``strategic_loss_randomized`` is the expected strategic loss of a finite
-mixture of predictors.
+mixture of predictors.  ``check_point`` raises ``PointNotInSpace`` for a
+point that is not in a space.
 
 These moved here from the library, where no run reads them:
 ``FiniteIIDSource``, an explicit finite-support agent distribution;
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from stratgame.core.geometry import TOL, MatrixSpace, MetricSpace, Point
+from stratgame.core.geometry import TOL, MatrixSpace, MetricSpace, Point, PointNotInSpace
 from stratgame.core.predictors import Hypothesis
 from stratgame.core.response import Agent, TieBreak, manipulation_type, strategic_loss
 from stratgame.environments import ParameterError
@@ -63,12 +64,25 @@ class ConstantLearner(Learner):
         return 0
 
 
+def check_point(space: MetricSpace, p: Point) -> None:
+    """Raise unless p is one of the space's points or, on a permutation
+    sphere, a basis point, the origin when the sphere has it, or a sphere point."""
+    if space.points is not None:
+        inside = p in space.points
+    else:
+        inside = (p[0] == "basis" and 0 <= p[1] < space.n
+                  or p[0] == "origin" and space.with_origin
+                  or p[0] == "perm" and sorted(p[1]) == list(range(space.n)))
+    if not inside:
+        raise PointNotInSpace(f"point not in space: {p!r}")
+
+
 def distance_to_hypothesis(space: MetricSpace, x: Point, f: Hypothesis) -> float:
     """min distance from x to the positive region; +inf when the region is empty.
 
     For unions this equals the minimum of the per-part distances.
     """
-    space.check_point(x)
+    check_point(space, x)
     if not f.positive:
         return math.inf
     dist = space.dist

@@ -448,15 +448,35 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n"
      "random-realizable on sphere needs n >= 2, got n=1"),
     # a nan family eps, and an alpha outside (0, inf)
     (["--env", "appJ", "--learner", "seq-elim", "--n", "4", "--eps", "nan", "--T", "5",
-      "--seeds", "1"], None, "need 0 < eps and 3*(n-1)*eps <= 1"),
+      "--seeds", "1"], None, "appJ at n=4 needs 0 < eps and 9*eps <= 1, got eps=nan"),
     (["--env", "appG", "--learner", "survivor:seq-elim", "--n", "4", "--eps", "0.1",
       "--delta", "0.1", "--env-eps", "nan", "--T", "50", "--seeds", "2"], None,
-     "need 0 < eps and 3*n*eps <= 1"),
+     "appG at n=4 needs 0 < eps and 12*eps <= 1, got eps=nan"),
     *((argv + ["--alpha", alpha], None, f"alpha must satisfy 0 < alpha < inf, got {got}")
       for argv in (["--env", "appG", "--learner", "random-union", "--n", "6", "--eps",
                     "0.05", "--T", "10", "--seeds", "2"],
                    _RR + ["--stream-space", "sphere"])
       for alpha, got in (("0", "0.0"), ("inf", "inf"), ("nan", "nan"))),
+    # a base learner that chooses from x under survivor
+    (["--env", "appJ", "--learner", "survivor:halving", "--setting", "x-delta", "--n", "8",
+      "--eps", "0.1", "--delta", "0.1", "--env-eps", "0.04", "--T", "148", "--seeds", "20"],
+     None, "longest-survivor needs a base that chooses without x; halving chooses from x"),
+    # a target, env eps, budget or base rounds that nothing reads
+    (["--env", "star-ex42", "--learner", "seq-elim", "--n", "8", "--target", "3", "--T", "5",
+      "--seeds", "1"], None, "star-ex42 does not read target; leave it at None, got 3"),
+    *((["--env", env, "--learner", "mwmr", "--n", "8", "--env-eps", "0.3", "--T", "5",
+        "--seeds", "1"], None, f"{env} does not read env_eps; leave it at None, got 0.3")
+      for env in ("appE", "random-realizable")),
+    (["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.01", "--budget", "3",
+      "--T", "5", "--seeds", "1"], None, "seq-elim does not read budget; leave it at None, got 3"),
+    (["--env", "appJ", "--learner", "boost:seq-elim", "--n", "8", "--eps", "0.1", "--delta",
+      "0.1", "--env-eps", "0.02", "--budget", "3", "--T", "10", "--seeds", "1"], None,
+     "boost:seq-elim does not read budget"),
+    (["--env", "appJ", "--learner", "survivor:seq-elim", "--n", "8", "--eps", "0.1",
+      "--delta", "0.1", "--env-eps", "0.02", "--base-rounds", "5", "--T", "10", "--seeds",
+      "1"], None, "survivor:seq-elim does not read base_rounds; leave it at None, got 5"),
+    (_APPJ + ["--T", "10", "--seeds", "1", "--base-rounds", "5"], None,
+     "seq-elim does not read base_rounds"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):

@@ -29,6 +29,7 @@ from stratgame.environments import (
     random_realizable_stream,
 )
 from stratgame.learners import make_learner
+from stratgame.oracle import check_family
 from stratgame.protocol import (
     ContractViolation,
     LearnerView,
@@ -316,6 +317,29 @@ def test_family_parameter_validation():
         PrefixSetFamily(4, 0.2)      # 6 eps > 1
     with pytest.raises(ParameterError):
         StarSpokeFamily(4, 0.01, target=7)
+
+
+# (least n, c at n = 4) of each family: it needs n >= least and c*eps <= 1
+_RANGES = {"appG": (2, 12), "appI": (2, 6), "appJ": (1, 9), "appK": (1, 6)}
+
+
+@pytest.mark.parametrize("tag", sorted(_RANGES))
+@pytest.mark.parametrize("bad", ["n", "eps=0", "eps=nan", "eps>1/c", "target=n",
+                                 "target=-1"])
+def test_families_reject_with_the_oracle_message(tag, bad):
+    least, c = _RANGES[tag]
+    n, eps, target = 4, 0.01, 0
+    if bad == "n":
+        n = least - 1
+    elif bad.startswith("eps"):
+        eps = {"eps=0": 0.0, "eps=nan": math.nan, "eps>1/c": 1 / c + 1e-9}[bad]
+    else:
+        target = n if bad == "target=n" else -1
+    with pytest.raises(ValueError) as want:
+        check_family(tag, n, eps, target)
+    with pytest.raises(ParameterError) as got:
+        make_environment(tag, n, eps=eps, target=target)
+    assert str(got.value) == str(want.value)
 
 
 def _last_separated_n(alpha, tol=1e-9):

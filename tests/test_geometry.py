@@ -24,7 +24,7 @@ from stratgame.core.geometry import (
     shuffled_range,
 )
 
-from helpers import from_metric, validate_metric
+from helpers import check_point, from_metric, validate_metric
 
 
 def test_star_distances():
@@ -126,10 +126,11 @@ def test_matrix_space_rejects_an_asymmetric_matrix():
 
 def test_sphere_contains():
     space = PermutationSphereSpace(3)
-    assert space.contains(perm_point((2, 0, 1)))
-    assert not space.contains(perm_point((2, 0, 0)))
-    assert not space.contains(ORIGIN)
-    assert PermutationSphereSpace(3, with_origin=True).contains(ORIGIN)
+    check_point(space, perm_point((2, 0, 1)))
+    for p in (perm_point((2, 0, 0)), ORIGIN):
+        with pytest.raises(PointNotInSpace):
+            check_point(space, p)
+    check_point(PermutationSphereSpace(3, with_origin=True), ORIGIN)
 
 
 def test_sphere_dist_row_fast_path():

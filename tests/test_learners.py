@@ -16,7 +16,6 @@ from stratgame.learners import (
     RandomUnionLearner,
     SurvivorConfig,
     make_learner,
-    mistake_budget,
 )
 from stratgame.oracle import analytic_union_loss
 from stratgame.protocol import (
@@ -406,7 +405,7 @@ def test_survivor_failure_rate_within_delta():
     # accuracy (0.3), so surviving on a wrong singleton counts as a failure
     n, env_eps, eps, delta = 4, 0.105, 0.3, 0.05
     env = make_environment("appJ", n, eps=env_eps, target=n - 1)
-    budget = mistake_budget("seq-elim", n)
+    budget = n
     cfg_T = budget * math.ceil(math.log(budget / delta) / eps)
     failures = 0
     seeds = 400
@@ -473,7 +472,6 @@ def test_every_learner_declares_its_contract():
         "mwmr": (XA, Ball, DIST, True),
         "random-union": (XA, Ball, DIST, False),
         "seq-elim": (NONE, ManipulationSet, DET, True),
-        "survivor:halving": (X, Ball, NOTHING, True),
         "survivor:mwmr": (XA, Ball, DIST, True),
         "survivor:seq-elim": (NONE, ManipulationSet, DET, True),
         "boost:halving": (X, Ball, NOTHING, False),
@@ -488,6 +486,8 @@ def test_every_learner_declares_its_contract():
         assert type(got[2]) is Exposure and type(got[3]) is bool, name
     with pytest.raises(ContractViolation, match="conservative base"):
         make_learner("survivor:random-union", n=8, epsilon=0.1, delta=0.1)
+    with pytest.raises(ContractViolation, match="halving chooses from x"):
+        make_learner("survivor:halving", n=8, epsilon=0.1, delta=0.1)
 
 
 def test_make_learner_registry_errors():
@@ -601,7 +601,7 @@ def _state(obj):
 
 
 @pytest.mark.parametrize("name", ["halving", "mwmr", "random-union", "seq-elim",
-                                  "survivor:halving", "survivor:mwmr", "survivor:seq-elim",
+                                  "survivor:mwmr", "survivor:seq-elim",
                                   "boost:mwmr", "boost:random-union", "boost:seq-elim"])
 def test_skip_matches_correct_rounds(name):
     # skip(m) must leave the state that m correct rounds on the settled

@@ -230,6 +230,18 @@ def test_oracles_reject_eps_and_target_outside_the_family(tag, eps, target, mess
         analytic_union_loss(tag, 5, eps, target, (0,))
 
 
+@pytest.mark.parametrize("alpha,got", [(0, "0"), (0.5, "0.5"), (float("nan"), "nan"),
+                                       (float("inf"), "inf")])
+def test_exact_sphere_oracles_reject_alpha_outside_0_to_one_third(alpha, got):
+    message = f"exact sphere reasoning needs 0 < alpha <= 1/3, got alpha={got}"
+    for tag in ("appG", "appI"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            exact_loss(tag, 5, Fraction(1, 100), 0, [basis(1)], alpha=alpha)
+    # appJ and appK read no alpha
+    assert exact_loss("appJ", 5, Fraction(1, 100), 0, [], alpha=alpha) == 1 - 12 * Fraction(1, 100)
+    assert exact_loss("appK", 5, Fraction(1, 100), 0, [], alpha=alpha) == 1 - 6 * Fraction(1, 100)
+
+
 @pytest.mark.parametrize("parts", [(7,), (5,), (-1,), (0, 5)])
 def test_closed_form_rejects_parts_outside_the_class(parts):
     message = f"union parts must be class indices in 0..4, got {sorted(set(parts))}"
@@ -364,11 +376,11 @@ def test_radius_and_prefix_oracle_counts_equal_the_per_permutation_loops(n):
     eps = Fraction(1, 100)
     for target in range(n):
         for region in _regions(n, target, rng, perms):
+            got = _loss_radius(n, eps, target, region)
             for alpha in (Fraction(1, 10), Fraction(1, 3)):
-                got = _loss_radius(n, eps, target, region, alpha)
                 assert got == _reference_loss_radius(n, eps, target, region, alpha), (
                     n, target, region.singles, region.sphere, region.at_anchor)
-                assert isinstance(got, Fraction)
+            assert isinstance(got, Fraction)
             if not region.sphere:  # no sphere on the star
                 got = _loss_prefix(n, eps, target, region)
                 assert got == _reference_loss_prefix(n, eps, target, region), (

@@ -20,7 +20,7 @@ from stratgame.core.predictors import (
     predict,
 )
 
-from helpers import distance_to_hypothesis
+from helpers import check_point, distance_to_hypothesis
 
 
 @pytest.fixture
@@ -33,17 +33,19 @@ def star8():
 def test_predict_membership(star8):
     space, hclass = star8
     f = hclass.union((1,))  # singleton at spoke 2
-    assert predict(f, matrix_point(2), space) == 1
-    assert predict(f, matrix_point(1), space) == -1
+    for x in (matrix_point(2), matrix_point(1), matrix_point(3)):
+        check_point(space, x)
+    assert predict(f, matrix_point(2)) == 1
+    assert predict(f, matrix_point(1)) == -1
     union = hclass.union((0, 2))  # spokes 1 and 3
-    assert predict(union, matrix_point(3), space) == 1
-    assert predict(union, matrix_point(2), space) == -1
+    assert predict(union, matrix_point(3)) == 1
+    assert predict(union, matrix_point(2)) == -1
 
 
 def test_predict_unknown_point_errors(star8):
-    space, hclass = star8
+    space, _ = star8
     with pytest.raises(PointNotInSpace, match="point not in space"):
-        predict(hclass.union((0,)), matrix_point(99), space)
+        check_point(space, matrix_point(99))
 
 
 def test_distance_to_singleton_from_hub(star8):
