@@ -26,8 +26,7 @@ def main():
     for T in horizons:
         cfg = ExperimentConfig(
             env="appG", learner="random-union", setting="x-delta-after",
-            n=N, T=T, seeds=list(range(SEEDS)), eps=EPS, env_eps=EPS,
-            target=N - 1)
+            n=N, T=T, seeds=list(range(SEEDS)), eps=EPS, target=N - 1)
         report = run_experiment(cfg)
         agg = report.aggregate
         print(f"{T:>8} {agg['mean_output_loss']:>12.5f} "

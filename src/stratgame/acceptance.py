@@ -185,14 +185,14 @@ CRITERIA = (
     # The probing adversary forces ~n-1 mistakes from the randomized learner.
     Criterion("probing-adversary-floor", _lone(
         env="appE", learner="mwmr", setting="x-delta-after", n=8,
-        T=math.ceil(5 * 8 * math.log(8 / 0.25) * 7), seeds=list(range(200)), delta=0.25,
+        T=math.ceil(5 * 8 * math.log(8 / 0.25) * 7), seeds=list(range(200)),
         bounds=[{"name": "adversary-mistake-floor", "delta": 0.25, "fraction": 0.7}])),
     # The random-union learner reaches expected loss eps within its round budget.
     Criterion("random-union-expected-loss", _lone(
         env="appG", learner="random-union", setting="x-delta-after", n=16,
-        T=default_union_rounds(16, 0.02), seeds=list(range(50)), eps=0.02,
-        env_eps=0.02, target=15, bounds=[{"name": "expected-loss", "eps": 0.02},
-                                         {"name": "union-round-budget", "eps": 0.02}])),
+        T=default_union_rounds(16, 0.02), seeds=list(range(50)), env_eps=0.02,
+        target=15, bounds=[{"name": "expected-loss", "eps": 0.02},
+                           {"name": "union-round-budget", "eps": 0.02}])),
     # Boosted random-union output keeps loss <= 8 eps in >= 90% of runs.
     Criterion("boosted-union-loss", _lone(
         env="appG", learner="boost:random-union", setting="x-delta-after", n=8,
@@ -203,7 +203,7 @@ CRITERIA = (
     Criterion("longest-survivor-loss", _lone(
         env="appJ", learner="survivor:seq-elim", setting="delta-only", n=16,
         T=SurvivorConfig(budget=16, epsilon=0.1, delta=0.1).recommended_rounds,
-        seeds=list(range(400)), eps=0.1, delta=0.1, budget=16, env_eps=0.02, target=15,
+        seeds=list(range(400)), eps=0.1, delta=0.1, env_eps=0.02, target=15,
         bounds=[{"name": "loss-quantile", "limit": 0.1, "fraction": 0.9}])),
     # Construction losses match the closed forms exactly (rational oracle).
     Criterion("exact-construction-losses", check=_exact_construction_losses),

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .environments import _STREAM_SPACES, environment_names
 from .harness import (
-    MODES,
     ExperimentConfig,
     check_config,
     emit_report,
@@ -37,7 +36,6 @@ _FLAG_OPTIONS = {
     "env": {"choices": environment_names()},
     "learner": {"help": f"one of {learner_names()}"},
     "setting": {"choices": tuple(s.value for s in Setting)},
-    "mode": {"choices": MODES},
     "env_eps": {"help": "family epsilon when it differs from the learner's"},
     "c": {"help": "probing threshold override"},
     "seeds": {"help": "count, lo:hi, or comma list"},

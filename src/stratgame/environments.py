@@ -136,8 +136,7 @@ class SphereRadiusFamily(_Family):
     tag = "appG"
     manipulation = Ball
 
-    def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
-                 validate: bool = True):
+    def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1):
         super().__init__(n, eps, target)
         self.space = PermutationSphereSpace(n, alpha=alpha, with_origin=True)
         _check_reach_separation(self.space)
@@ -149,8 +148,7 @@ class SphereRadiusFamily(_Family):
         self._origin_agent = Agent(ORIGIN, Ball(0.0), -1)
         self._ball_u = Ball(self.r_u)
         self._ball_l = Ball(self.r_l)
-        if validate:
-            _spot_check(self, ("appG", n, eps, target, alpha))
+        _spot_check(self, ("appG", n, eps, target, alpha))
 
     def sample(self, rng: random.Random) -> Agent:
         if rng.random() >= self.sphere_mass:
@@ -179,8 +177,7 @@ class SphereRankFamily(_Family):
     tag = "appI"
     manipulation = Ball
 
-    def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1,
-                 validate: bool = True):
+    def __init__(self, n: int, eps: float, target: int = 0, alpha: float = 0.1):
         super().__init__(n, eps, target)
         self.space = PermutationSphereSpace(n, alpha=alpha, with_origin=False)
         _check_reach_separation(self.space)
@@ -191,8 +188,7 @@ class SphereRankFamily(_Family):
         # negative radius per target coordinate value v: reaches e_j iff p[j] > v
         self._neg_balls = [Ball(math.sqrt(1 + a2 - 2.0 * (v + 1) / z))
                            for v in range(n)]
-        if validate:
-            _spot_check(self, ("appI", n, eps, target, alpha))
+        _spot_check(self, ("appI", n, eps, target, alpha))
 
     def _agent(self, p: tuple, positive: bool) -> Agent:
         if positive:
@@ -222,7 +218,7 @@ class StarSpokeFamily(_Family):
     tag = "appJ"
     manipulation = Ball
 
-    def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
+    def __init__(self, n: int, eps: float, target: int = 0):
         super().__init__(n, eps, target)
         self.space = StarSpace(n)
         self.hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
@@ -231,21 +227,19 @@ class StarSpokeFamily(_Family):
         self._pos_agent = Agent(matrix_point(0), ball, 1)
         self._neg_agents = [Agent(matrix_point(j + 1), ball, -1)
                             for j in range(n) if j != target]
-        if validate:
-            _spot_check(self, ("appJ", n, eps, target))
+        # n atoms at any n: kept from the start, so support() hands them back
+        # and iter_support() has nothing to stream
+        self._support = ((self._pos_agent, 1 - self.neg_mass),
+                         *((a, 3 * eps) for a in self._neg_agents))
+        _spot_check(self, ("appJ", n, eps, target))
 
     def sample(self, rng: random.Random) -> Agent:
         if rng.random() >= self.neg_mass:
             return self._pos_agent
         return self._neg_agents[rng.randrange(len(self._neg_agents))]
 
-    def support(self):
-        atoms = [(self._pos_agent, 1 - self.neg_mass)]
-        w = 3 * self.eps
-        atoms.extend((a, w) for a in self._neg_agents)
-        return atoms
-
-    iter_support = support  # n atoms at any n: nothing to stream
+    def iter_support(self):
+        return self._support
 
 
 class PrefixSetFamily(_Family):
@@ -261,15 +255,14 @@ class PrefixSetFamily(_Family):
     manipulation = Explicit
     tie = TieBreak.UNIFORM_RANDOM
 
-    def __init__(self, n: int, eps: float, target: int = 0, validate: bool = True):
+    def __init__(self, n: int, eps: float, target: int = 0):
         super().__init__(n, eps, target)
         self.space = StarSpace(n)
         self.hclass = HypothesisClass([matrix_point(i) for i in range(1, n + 1)])
         self.neg_mass = 6 * eps
         self._hub = matrix_point(0)
         self._pos_agent = Agent(self._hub, Explicit(self.space.points), 1)
-        if validate:
-            _spot_check(self, ("appK", n, eps, target))
+        _spot_check(self, ("appK", n, eps, target))
 
     def _neg_agent(self, order: Sequence[int]) -> Agent:
         # spokes drawn before the target, as point ids (spoke j -> index j+1)

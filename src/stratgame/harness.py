@@ -22,9 +22,10 @@ from .learners import default_union_rounds, make_learner
 from .oracle import analytic_union_loss
 from .protocol import Setting, check_learner, run_online, run_pac
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-MODES = ("auto", "online", "pac")
+# the learners that output a predictor: on an i.i.d. family their runs are
+# pac runs, with an output loss; every other run is an online run
 _PAC_LEARNERS = ("random-union",)
 _PAC_PREFIXES = ("survivor:", "boost:")
 
@@ -37,26 +38,17 @@ class ExperimentConfig:
     n: int = 8
     T: int = 100
     seeds: list = field(default_factory=lambda: [0])
-    mode: str = "auto"
     eps: float | None = None
     delta: float | None = None
     env_eps: float | None = None
     target: int | None = None
     alpha: float = 0.1
-    budget: int | None = None
     base_rounds: int | None = None
     c: float | None = None
     estimation_samples: int = 1000
     stream_space: str = "star"
     radius_law: str | None = None
     bounds: list = field(default_factory=list)
-
-    def resolved_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        if self.learner in _PAC_LEARNERS or self.learner.startswith(_PAC_PREFIXES):
-            return "pac"
-        return "online"
 
     def family_eps(self) -> float | None:
         return self.env_eps if self.env_eps is not None else self.eps
@@ -88,28 +80,41 @@ _env_cache: dict = {}
 _FAMILIES = ("appG", "appI", "appJ", "appK")
 
 # The parameters that only some runs read, and the environments that read
-# them, or for budget and base_rounds the learner wrappers, named before the
-# colon; a random stream reads alpha only on a sphere.
+# them, or for base_rounds the boost wrapper, named before the colon; a random
+# stream reads alpha only on a sphere.  eps and delta have readers of their own.
 _READERS = {"alpha": ("appG", "appI", "random-realizable"), "c": ("appE",),
             "estimation_samples": ("appE",), "stream_space": ("random-realizable",),
             "radius_law": ("random-realizable",), "env_eps": _FAMILIES,
-            "target": ("appE", *_FAMILIES, "random-realizable"),
-            "budget": ("survivor",), "base_rounds": ("boost",)}
+            "target": ("appE", *_FAMILIES, "random-realizable"), "base_rounds": ("boost",)}
 
 
 def _check_read(cfg: ExperimentConfig) -> None:
-    """Reject a non-default parameter that the environment or the learner ignores."""
+    """Reject a non-default parameter that the environment, the learner and
+    the bounds all ignore."""
     for f in fields(ExperimentConfig):
         value = getattr(cfg, f.name)
-        if f.name not in _READERS or value == f.default:
+        if value == f.default:
             continue
-        who = cfg.learner if f.name in ("budget", "base_rounds") else cfg.env
-        reads = who.partition(":")[0] in _READERS[f.name]
-        if f.name == "alpha" and who == "random-realizable":
-            who, reads = f"{who} on {cfg.stream_space}", cfg.stream_space.startswith("sphere")
-        if not reads:
-            raise ValueError(f"{who} does not read {f.name}; leave it at "
-                             f"{f.default!r}, got {value!r}")
+        if f.name in ("eps", "delta"):
+            # the wrappers read both, a family reads eps unless env_eps is set,
+            # and a bound reads the config's value where its spec omits the key
+            family = f.name == "eps" and cfg.env in _FAMILIES
+            bound = any(f.name not in spec and BOUND_LIBRARY[spec["name"]][1].get(f.name)
+                        == "cfg" for spec in cfg.bounds)
+            who = (f"{cfg.env} (it reads env_eps), " if family else
+                   f"{cfg.env}, " if f.name == "eps" else "") + cfg.learner
+            if not (cfg.learner.startswith(_PAC_PREFIXES) or bound
+                    or family and cfg.env_eps is None):
+                raise ValueError(f"{who} and the bounds do not read {f.name}; leave "
+                                 f"it at {f.default!r}, got {value!r}")
+        elif f.name in _READERS:
+            who = cfg.learner if f.name == "base_rounds" else cfg.env
+            reads = who.partition(":")[0] in _READERS[f.name]
+            if f.name == "alpha" and who == "random-realizable":
+                who, reads = f"{who} on {cfg.stream_space}", cfg.stream_space.startswith("sphere")
+            if not reads:
+                raise ValueError(f"{who} does not read {f.name}; leave it at "
+                                 f"{f.default!r}, got {value!r}")
 
 
 def _environment(cfg: ExperimentConfig):
@@ -127,8 +132,14 @@ def _environment(cfg: ExperimentConfig):
 
 def _learner(cfg: ExperimentConfig, class_size: int):
     return make_learner(cfg.learner, n=class_size, epsilon=cfg.eps,
-                        delta=cfg.delta, budget=cfg.budget,
-                        base_rounds=cfg.base_rounds)
+                        delta=cfg.delta, base_rounds=cfg.base_rounds)
+
+
+def _mode(cfg: ExperimentConfig, env) -> str:
+    """'pac' when a learner that outputs a predictor plays an i.i.d. family,
+    else 'online'."""
+    pac = cfg.learner in _PAC_LEARNERS or cfg.learner.startswith(_PAC_PREFIXES)
+    return "pac" if pac and env.family is not None else "online"
 
 
 def monte_carlo_loss(space, f, source, N: int, seed: int) -> tuple:
@@ -154,7 +165,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
     learner = _learner(cfg, len(env.hclass))
     source = env.source_for_run(seed, cfg.T)
     setting = Setting.from_name(cfg.setting)
-    if cfg.resolved_mode() == "pac":
+    if _mode(cfg, env) == "pac":
         out, transcript = run_pac(source, learner, setting, cfg.T, seed, record="counts")
         loss = output_loss(env.family, out)
     else:
@@ -308,15 +319,14 @@ class MetricsReport:
 
 
 def check_config(cfg: ExperimentConfig) -> None:
-    """Every check that needs no seed run: the horizon, the mode, each bound
-    spec, the environment parameters and the learner's fit to the setting."""
+    """Every check that needs no seed run: the horizon, the environment
+    parameters, each bound spec and the learner's fit to the setting."""
     if cfg.T < 0:
         raise ValueError(f"the horizon T must be nonnegative, got {cfg.T}")
     if cfg.bounds and not cfg.seeds:
         raise ValueError("bound checks need at least one seed")
-    if cfg.mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    mode = cfg.resolved_mode()
+    env = _environment(cfg)
+    mode = _mode(cfg, env)
     for spec in cfg.bounds:
         name = spec.get("name")
         if name not in BOUND_LIBRARY:
@@ -332,11 +342,7 @@ def check_config(cfg: ExperimentConfig) -> None:
             if value is None:
                 raise ValueError(f"bound {name!r} needs {key} in its spec" + (
                     " or in the config" if keys[key] == "cfg" else ""))
-    env = _environment(cfg)
     _check_read(cfg)
-    if mode == "pac" and env.family is None:
-        raise ValueError(f"pac mode needs an i.i.d. family environment; "
-                         f"{cfg.env!r} is not one")
     check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
 
 

@@ -345,28 +345,22 @@ class LongestSurvivor(Learner):
 
 @dataclass
 class BoostConfig:
-    """Confidence amplification parameters.
-
-    Defaults: rounds = ceil(ln(2/delta)) and validation size
-    m0 = ceil(3 ln(4 R / delta) / (2 epsilon)); both can be overridden.
-    """
+    """Confidence amplification parameters: rounds = ceil(ln(2/delta)) and
+    validation size m0 = ceil(3 ln(4 R / delta) / (2 epsilon))."""
 
     epsilon: float
     delta: float
     base_rounds: int
-    outer_rounds: int = 0
-    validation_rounds: int = 0
+    outer_rounds: int = field(init=False)
+    validation_rounds: int = field(init=False)
 
     def __post_init__(self):
         _check_accuracy(self.epsilon, self.delta)
         if self.base_rounds < 1:
             raise ValueError(f"base_rounds must be at least 1, got {self.base_rounds}")
-        if self.outer_rounds <= 0:
-            self.outer_rounds = math.ceil(math.log(2.0 / self.delta))
-        if self.validation_rounds <= 0:
-            self.validation_rounds = math.ceil(
-                3.0 * math.log(4.0 * self.outer_rounds / self.delta)
-                / (2.0 * self.epsilon))
+        self.outer_rounds = math.ceil(math.log(2.0 / self.delta))
+        self.validation_rounds = math.ceil(
+            3.0 * math.log(4.0 * self.outer_rounds / self.delta) / (2.0 * self.epsilon))
 
     @property
     def max_rounds(self) -> int:
@@ -490,29 +484,25 @@ def learner_names() -> list:
 
 
 def make_learner(name: str, n: int | None = None, epsilon: float | None = None,
-                 delta: float | None = None, budget: int | None = None,
-                 base_rounds: int | None = None) -> Learner:
+                 delta: float | None = None, base_rounds: int | None = None) -> Learner:
     """Build a learner from its registry name.
 
     Wrapper names compose as "survivor:<base>" and "boost:<base>"; wrapper
-    parameters (epsilon, delta, budget / base_rounds) fall back to the
-    standard formulas, which need the class size n.
+    parameters (epsilon, delta, base_rounds) fall back to the standard
+    formulas, which need the class size n.
     """
     if name in _BASES:
         return _BASES[name]()
     wrapper, _, base_name = name.partition(":")
-    sizes = {"survivor": ("budget", budget), "boost": ("base_rounds", base_rounds)}
-    if wrapper not in sizes or base_name not in _BASES:
+    if wrapper not in ("survivor", "boost") or base_name not in _BASES:
         raise KeyError(f"unknown learner {name!r}; known: {learner_names()}")
     if epsilon is None or delta is None:
         raise ValueError(f"{wrapper} wrapper needs epsilon and delta")
-    size_name, size = sizes[wrapper]
-    if size is None and n is None:
-        raise ValueError(f"{wrapper} wrapper needs {size_name} or the class size")
+    if n is None and (wrapper == "survivor" or base_rounds is None):
+        raise ValueError(f"{wrapper} wrapper needs the class size n")
     if wrapper == "survivor":
         # a conservative base that chooses without x plays at most n predictors
-        cfg = SurvivorConfig(budget=n if budget is None else budget, epsilon=epsilon,
-                             delta=delta)
+        cfg = SurvivorConfig(budget=n, epsilon=epsilon, delta=delta)
         return LongestSurvivor(_BASES[base_name](), cfg)
     if base_rounds is None:
         base_rounds = default_union_rounds(n, epsilon)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -244,10 +245,13 @@ def test_contract_and_realizability_errors_are_one_line(monkeypatch, capsys, arg
 @pytest.mark.parametrize("argv,message", [
     (["--env", "appE", "--learner", "halving", "--setting", "x-delta", "--n", "8",
       "--T", "50", "--seeds", "1"], "learner 'halving' exposes neither"),
+    # a pac learner off the i.i.d. families runs online, without output losses
     (["--env", "random-realizable", "--learner", "random-union", "--n", "8",
-      "--T", "50", "--seeds", "2"], "pac mode needs an i.i.d. family"),
+      "--T", "50", "--seeds", "2", "--bound", "expected-loss:eps=0.1"],
+     "bound 'expected-loss' needs the output losses of a pac run; mode is 'online'"),
     (["--env", "appE", "--learner", "boost:mwmr", "--n", "8", "--eps", "0.1",
-      "--delta", "0.1", "--T", "50", "--seeds", "2"], "pac mode needs an i.i.d. family"),
+      "--delta", "0.1", "--T", "50", "--seeds", "2", "--bound",
+      "loss-quantile:limit=0.1"], "bound 'loss-quantile' needs the output losses"),
 ])
 def test_unsupported_runs_exit_2_with_one_line(capsys, argv, message):
     code = main(["run"] + argv)
@@ -260,8 +264,8 @@ def test_unsupported_runs_exit_2_with_one_line(capsys, argv, message):
 def test_config_file_reads_every_field_with_its_type(tmp_path):
     values = {
         "env": "appG", "learner": "boost:random-union", "setting": "x-delta",
-        "n": 7, "T": 11, "mode": "pac", "eps": 0.05, "delta": 0.1, "env_eps": 0.04,
-        "target": 3, "alpha": 0.2, "budget": 9, "base_rounds": 13, "c": 0.25,
+        "n": 7, "T": 11, "eps": 0.05, "delta": 0.1, "env_eps": 0.04,
+        "target": 3, "alpha": 0.2, "base_rounds": 13, "c": 0.25,
         "estimation_samples": 17, "stream_space": "scaled-basis",
         "radius_law": "const:0.5",
     }
@@ -293,6 +297,19 @@ def _subparser(name):
     return action.choices[name]
 
 
+def test_readme_names_only_real_flags():
+    # a flag the parser drops must leave the README too; the two pip and
+    # pytest flags of the install section are the only others
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for p in action.choices.values() for a in p._actions
+             for flag in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    assert "--env-eps" in named
+    assert named - flags == {"--no-build-isolation", "--ignore"}
+
+
 @pytest.mark.parametrize("command,own", [("run", set()), ("sweep", {"param", "values"})])
 def test_experiment_flags_are_the_config_fields(command, own):
     dests = {a.dest for a in _subparser(command)._actions}
@@ -303,7 +320,7 @@ def test_experiment_flags_are_the_config_fields(command, own):
 @pytest.mark.parametrize("line,message", [
     ("TT=5", "unknown config key 'TT'"),
     ("threads=2", "unknown config key 'threads'"),
-    ("mode=bogus", "mode must be one of ('auto', 'online', 'pac'), got 'bogus'"),
+    ("mode=online", "unknown config key 'mode'"),
     ("setting=nope", "unknown setting 'nope'"),
     ("bound=exact-mistake-count:count",
      "bad bound spec 'exact-mistake-count:count'; the form is name[:key=value,...]"),
@@ -343,8 +360,8 @@ def test_file_bound_lines_accumulate_and_bound_flags_replace_them(tmp_path):
 _APPJ = ["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.02"]
 _RR = ["--env", "random-realizable", "--n", "5", "--learner", "halving", "--setting",
        "x-delta", "--T", "20", "--seeds", "2"]
-_APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n", "6",
-         "--T", "50", "--seeds", "2"]
+_APPE = ["--env", "appE", "--learner", "random-union", "--n", "6", "--T", "50",
+         "--seeds", "2"]
 
 
 @pytest.mark.parametrize("argv,threads_env,message", [
@@ -461,22 +478,33 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--mode", "online", "--n"
     (["--env", "appJ", "--learner", "survivor:halving", "--setting", "x-delta", "--n", "8",
       "--eps", "0.1", "--delta", "0.1", "--env-eps", "0.04", "--T", "148", "--seeds", "20"],
      None, "longest-survivor needs a base that chooses without x; halving chooses from x"),
-    # a target, env eps, budget or base rounds that nothing reads
+    # a target, env eps, delta, eps or base rounds that nothing reads
     (["--env", "star-ex42", "--learner", "seq-elim", "--n", "8", "--target", "3", "--T", "5",
       "--seeds", "1"], None, "star-ex42 does not read target; leave it at None, got 3"),
     *((["--env", env, "--learner", "mwmr", "--n", "8", "--env-eps", "0.3", "--T", "5",
         "--seeds", "1"], None, f"{env} does not read env_eps; leave it at None, got 0.3")
       for env in ("appE", "random-realizable")),
-    (["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.01", "--budget", "3",
-      "--T", "5", "--seeds", "1"], None, "seq-elim does not read budget; leave it at None, got 3"),
-    (["--env", "appJ", "--learner", "boost:seq-elim", "--n", "8", "--eps", "0.1", "--delta",
-      "0.1", "--env-eps", "0.02", "--budget", "3", "--T", "10", "--seeds", "1"], None,
-     "boost:seq-elim does not read budget"),
+    (["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.01", "--delta", "0.3",
+      "--T", "5", "--seeds", "1"], None,
+     "seq-elim and the bounds do not read delta; leave it at None, got 0.3"),
+    (["--env", "appJ", "--learner", "seq-elim", "--n", "8", "--eps", "0.1", "--env-eps",
+      "0.02", "--T", "10", "--seeds", "1"], None,
+     "appJ (it reads env_eps), seq-elim and the bounds do not read eps"),
     (["--env", "appJ", "--learner", "survivor:seq-elim", "--n", "8", "--eps", "0.1",
       "--delta", "0.1", "--env-eps", "0.02", "--base-rounds", "5", "--T", "10", "--seeds",
       "1"], None, "survivor:seq-elim does not read base_rounds; leave it at None, got 5"),
     (_APPJ + ["--T", "10", "--seeds", "1", "--base-rounds", "5"], None,
      "seq-elim does not read base_rounds"),
+    # an eps or delta that nothing reads: not the family, the learner or a bound
+    (["--env", "star-ex42", "--learner", "seq-elim", "--n", "8", "--eps", "0.3", "--delta",
+      "0.5", "--T", "5", "--seeds", "1"], None,
+     "star-ex42, seq-elim and the bounds do not read eps; leave it at None, got 0.3"),
+    (["--env", "appE", "--learner", "mwmr", "--n", "8", "--delta", "0.25", "--T", "50",
+      "--seeds", "2", "--bound", "adversary-mistake-floor:delta=0.25"], None,
+     "mwmr and the bounds do not read delta; leave it at None, got 0.25"),
+    (["--env", "appG", "--learner", "random-union", "--n", "6", "--eps", "0.05",
+      "--env-eps", "0.05", "--T", "10", "--seeds", "2", "--bound", "expected-loss:eps=0.05"],
+     None, "appG (it reads env_eps), random-union and the bounds do not read eps"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):

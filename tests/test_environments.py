@@ -7,6 +7,7 @@ import pytest
 
 from stratgame.core.geometry import (
     ORIGIN,
+    PermutationSphereSpace,
     basis,
     matrix_point,
     scaled_basis,
@@ -359,10 +360,12 @@ def _last_separated_n(alpha, tol=1e-9):
 def test_sphere_families_reject_reach_radii_closer_than_100_tol(family, eps):
     n = _last_separated_n(0.1)
     assert n == 14375
-    fam = family(n, eps, alpha=0.1, validate=False)
-    assert fam.space.n == n
+    # the sphere the family would build passes; the family itself would then
+    # spot-check 1e4 sampled agents at this n
+    sphere = PermutationSphereSpace(n, alpha=0.1, with_origin=family is SphereRadiusFamily)
+    environments._check_reach_separation(sphere)
     with pytest.raises(ParameterError, match="reach radii"):
-        family(n + 1, eps, alpha=0.1, validate=False)
+        family(n + 1, eps, alpha=0.1)
 
 
 def test_radius_family_sampling_statistics():
@@ -583,7 +586,7 @@ def _fresh_support(fam) -> list:
 def test_kept_support_equals_a_fresh_build_atom_by_atom(tag):
     for n in range(2, 8):
         for target in range(n):
-            fam = _SUPPORT_FAMILIES[tag](n, 0.01, target=target, validate=False)
+            fam = _SUPPORT_FAMILIES[tag](n, 0.01, target=target)
             streamed = tuple(fam.iter_support())
             kept, fresh = fam.support(), _fresh_support(fam)
             assert isinstance(kept, tuple) and len(kept) == len(fresh) == len(streamed)
@@ -603,8 +606,8 @@ def test_spot_check_streams_the_support_without_keeping_it(monkeypatch, tag, eps
 
 @pytest.mark.parametrize("n", [8, 9])  # every atom streamed at 8, sampled at 9
 def test_spot_check_rejects_a_target_that_misses_an_atom(monkeypatch, n):
+    fam = SphereRadiusFamily(n, 0.03, target=0)
     monkeypatch.setattr(environments, "_validated", set())
-    fam = SphereRadiusFamily(n, 0.03, target=0, validate=False)
     # positives whose target coordinate is 1 now stop just short of the target
     fam._ball_l = Ball(fam.r_l - 1e-3)
     with pytest.raises(ParameterError, match="misclassifies"):
@@ -616,6 +619,17 @@ def test_spot_check_rejects_a_target_that_misses_an_atom(monkeypatch, n):
 def test_support_is_built_once(tag):
     fam = _SUPPORT_FAMILIES[tag](5, 0.01, target=1)
     assert fam.support() is fam.support()
+
+
+@pytest.mark.parametrize("tag", ["appG", "appI", "appJ", "appK"])
+def test_a_second_population_loss_reuses_the_kept_columns(tag):
+    from stratgame.core.response import _kept_columns
+
+    fam = make_environment(tag, 5, eps=0.01, target=1).family
+    population_loss(fam.space, fam.hclass.union((0, 2)), fam)
+    cols = _kept_columns[fam]
+    population_loss(fam.space, fam.hclass.union((3,)), fam)
+    assert _kept_columns[fam] is cols
 
 
 def test_kept_supports_share_equal_parts():

@@ -12,6 +12,7 @@ from stratgame.harness import (
     MetricsReport,
     _threads,
     aggregate_rows,
+    check_config,
     emit_report,
     monte_carlo_loss,
     parse_config_file,
@@ -130,7 +131,7 @@ def test_json_report_round_trips():
     payload = emit_report(report, "json")
     parsed = json.loads(payload)
     assert (json.dumps(parsed, sort_keys=True, indent=2) + "\n").encode() == payload
-    assert parsed["schema_version"] == 3
+    assert parsed["schema_version"] == 4
     assert parsed["config"]["env"] == "random-realizable"
 
 
@@ -191,7 +192,7 @@ def test_adversary_floor_bound():
     n, delta = 6, 0.25
     T = math.ceil(5 * n * math.log(n / delta) * (n - 1))
     cfg = ExperimentConfig(env="appE", learner="mwmr", setting="x-delta-after",
-                           n=n, T=T, seeds=list(range(20)), delta=delta,
+                           n=n, T=T, seeds=list(range(20)),
                            bounds=[{"name": "adversary-mistake-floor",
                                     "delta": delta, "fraction": 0.7}])
     report = run_experiment(cfg)
@@ -237,19 +238,6 @@ def test_output_loss_bound_rejected_on_online_run_before_any_seed(monkeypatch, s
         run_experiment(_small_cfg(bounds=[spec]))
 
 
-def test_unknown_mode_rejected_before_any_seed(monkeypatch):
-    from stratgame import harness
-
-    def no_seed(cfg, seed):
-        raise AssertionError("a seed ran before the mode check")
-
-    monkeypatch.setattr(harness, "run_single_seed", no_seed)
-    for learner in ("seq-elim", "survivor:seq-elim"):
-        cfg = _small_cfg(learner=learner, mode="bogus", bounds=[])
-        with pytest.raises(ValueError, match=r"'auto', 'online', 'pac'.*'bogus'"):
-            run_experiment(cfg)
-
-
 @pytest.mark.parametrize("overrides,message", [
     ({"env": "appK", "learner": "mwmr", "eps": 0.1}, "needs Ball manipulation sets"),
     ({"env": "appK", "learner": "boost:random-union", "eps": 0.1, "delta": 0.1,
@@ -277,27 +265,35 @@ def test_learner_contract_checked_before_any_seed(monkeypatch, overrides, messag
 
 
 @pytest.mark.parametrize("overrides", [
-    {"learner": "random-union"},
-    {"env": "appE", "learner": "boost:mwmr", "setting": "x-delta-after", "n": 8,
-     "eps": 0.1, "delta": 0.1},
+    {"env": "appE", "learner": "random-union", "setting": "x-delta-after", "n": 6},
+    {"env": "star-ex42", "learner": "survivor:seq-elim", "setting": "x-delta-after",
+     "n": 6, "T": 5, "eps": 0.1, "delta": 0.1},
 ])
-def test_pac_mode_on_non_iid_environment_rejected_before_any_seed(monkeypatch, overrides):
-    from stratgame import harness
+def test_pac_learner_without_a_family_runs_online(overrides):
+    # a pac run needs a learner that outputs a predictor and an i.i.d. family
+    report = run_experiment(_small_cfg(seeds=[0, 1], bounds=[], **overrides))
+    assert [r["output_loss"] for r in report.rows] == [None, None]
+    assert "mean_output_loss" not in report.aggregate
+    with pytest.raises(ValueError, match="needs the output losses of a pac run; "
+                                         "mode is 'online'"):
+        run_experiment(_small_cfg(bounds=[{"name": "expected-loss", "eps": 0.1}],
+                                  **overrides))
 
-    def no_seed(cfg, seed):
-        raise AssertionError("a seed ran before the pac/environment check")
 
-    monkeypatch.setattr(harness, "run_single_seed", no_seed)
-    cfg = _small_cfg(seeds=[0, 1], bounds=[], **overrides)
-    assert cfg.resolved_mode() == "pac"
-    with pytest.raises(ValueError, match="pac mode needs an i.i.d. family"):
-        run_experiment(cfg)
+@pytest.mark.parametrize("overrides", [
+    {"eps": 0.1, "bounds": [{"name": "union-round-budget"}]},
+    {"env": "appE", "learner": "mwmr", "setting": "x-delta-after", "n": 8, "T": 5,
+     "delta": 0.25, "bounds": [{"name": "adversary-mistake-floor"}]},
+])
+def test_eps_and_delta_read_by_a_bound_alone_are_accepted(overrides):
+    check_config(_small_cfg(**overrides))
+    with pytest.raises(ValueError, match="and the bounds do not read"):
+        check_config(_small_cfg(**{**overrides, "bounds": []}))
 
 
 def test_every_criterion_config_passes_the_pre_seed_checks():
     # a broken declaration fails here, not part way through the acceptance gate
     from stratgame import acceptance
-    from stratgame.harness import check_config
 
     for criterion in acceptance.CRITERIA:
         assert bool(criterion.configs) != (criterion.check is not None), criterion.name

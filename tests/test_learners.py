@@ -526,16 +526,24 @@ def test_learners_on_one_environment_share_one_distance_index():
     survivor = make_learner("survivor:mwmr", n=6, epsilon=0.1, delta=0.1)
     survivor.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(2))
     assert survivor.base.index is shared
-    # every outer round of boost builds a fresh base on the same index
+    # every outer round of boost builds a fresh base on the same index; an
+    # all-negative candidate loses 0.7 > 4 eps, so every validation rejects
     bases = []
 
+    class Rejected(RandomUnionLearner):
+        def finalize(self):
+            return Hypothesis(())
+
     def base():
-        bases.append(RandomUnionLearner())
+        bases.append(Rejected())
         return bases[-1]
 
-    boost = BoostLearner(base, BoostConfig(epsilon=0.001, delta=0.1, base_rounds=2,
-                                           outer_rounds=3, validation_rounds=50))
-    run_online(env.source_for_run(0, 156), boost, Setting.XD_AFTER, 156, 0)
+    cfg = BoostConfig(epsilon=0.05, delta=0.1, base_rounds=2)
+    assert cfg.outer_rounds == 3
+    boost = BoostLearner(base, cfg)
+    run_online(env.source_for_run(0, cfg.max_rounds), boost, Setting.XD_AFTER,
+               cfg.max_rounds, 0)
+    assert boost._outer == 3 and boost.finalize().parts == (0,)
     assert len(bases) == 4 and all(b.index is shared for b in bases[1:])
     other = StarSpace(6)
     mwmr.reset(env.hclass, other, Setting.XD_AFTER, random.Random(3))
