@@ -22,10 +22,10 @@ from pathlib import Path
 from .environments import _STREAM_SPACES, environment_names
 from .harness import (
     ExperimentConfig,
-    check_config,
     emit_report,
     parse_config_file,
     run_experiment,
+    run_sweep,
 )
 from .learners import learner_names
 from .oracle import analytic_union_loss, check_family, exact_loss
@@ -164,17 +164,11 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     subs = [replace(cfg, **{args.param: v}) for v in _int_list(args.values, "--values")]
-    for sub in subs:  # every value before the first runs
-        check_config(sub)
-    results = []
-    all_pass = True
-    for sub in subs:
-        report = run_experiment(sub, threads=args.threads)
-        all_pass = all_pass and report.all_bounds_pass
-        results.append({args.param: getattr(sub, args.param),
-                        "aggregate": report.aggregate, "bounds": report.bounds})
+    reports = run_sweep(subs, threads=args.threads)
+    results = [{args.param: getattr(sub, args.param), "aggregate": report.aggregate,
+                "bounds": report.bounds} for sub, report in zip(subs, reports)]
     _emit((json.dumps(results, sort_keys=True, indent=2) + "\n").encode(), args)
-    return 0 if all_pass else 1
+    return 0 if all(report.all_bounds_pass for report in reports) else 1
 
 
 def cmd_oracle(args) -> int:

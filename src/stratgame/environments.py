@@ -29,15 +29,11 @@ from .core.geometry import (
 from .core.predictors import HypothesisClass
 from .core.response import (Agent, Ball, Explicit, TieBreak, manipulation_type,
                             strategic_loss)
-from .oracle import check_family
+from .oracle import ParameterError, check_family
 from .protocol import ContractViolation, Exposure, LearnerView
 
 SPOT_CHECK_SAMPLES = 10_000
 _validated: set = set()
-
-
-class ParameterError(ValueError):
-    """A family was asked for parameters outside its valid range."""
 
 
 def _check_n(name: str, n: int, least: int) -> None:
@@ -104,10 +100,7 @@ class _Family:
     _support = None
 
     def __init__(self, n: int, eps: float, target: int):
-        try:
-            check_family(self.tag, n, eps, target)
-        except ValueError as exc:
-            raise ParameterError(str(exc)) from None
+        check_family(self.tag, n, eps, target)
         self.n = n
         self.eps = eps
         self.target = target
@@ -355,13 +348,15 @@ class ProbingAdversary:
     otherwise it plants a negative at the scaled copy of the most likely
     positive basis direction, with radius 0.1 (reaching the basis point) off
     target and 0 on target.  Needs 0 < c <= 1; a learner that shows no exact
-    distribution is estimated from ``samples`` draws.
+    distribution is estimated from ``samples`` draws.  The agent is decided
+    once per learner state version, which ``agent_follows_version`` declares.
     """
 
     kind = "adaptive"
     tag = "appE"
     manipulation = Ball
     needs_exposure = Exposure.DISTRIBUTION
+    agent_follows_version = True
     tie = TieBreak.FIXED_LOWEST
 
     def __init__(self, n: int, target: int | None = None, c: float | None = None,

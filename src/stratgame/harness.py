@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 from .core.response import strategic_loss
 from .environments import make_environment
 from .learners import default_union_rounds, make_learner
-from .oracle import analytic_union_loss
+from .oracle import ParameterError, analytic_union_loss
 from .protocol import Setting, check_learner, run_online, run_pac
 
 SCHEMA_VERSION = 4
@@ -117,10 +117,14 @@ def _check_read(cfg: ExperimentConfig) -> None:
                                  f"{f.default!r}, got {value!r}")
 
 
-def _environment(cfg: ExperimentConfig):
-    args = dict(name=cfg.env, n=cfg.n, eps=cfg.family_eps(), target=cfg.target,
+def _env_args(cfg: ExperimentConfig) -> dict:
+    return dict(name=cfg.env, n=cfg.n, eps=cfg.family_eps(), target=cfg.target,
                 alpha=cfg.alpha, c=cfg.c, samples=cfg.estimation_samples,
                 stream_space=cfg.stream_space, radius_law=cfg.radius_law)
+
+
+def _environment(cfg: ExperimentConfig):
+    args = _env_args(cfg)
     key = tuple(args.values())
     env = _env_cache.get(key)
     if env is None:
@@ -318,14 +322,22 @@ class MetricsReport:
         return cls(SCHEMA_VERSION, asdict(cfg), rows, agg, bounds)
 
 
-def check_config(cfg: ExperimentConfig) -> None:
+def check_config(cfg: ExperimentConfig):
     """Every check that needs no seed run: the horizon, the environment
-    parameters, each bound spec and the learner's fit to the setting."""
+    parameters, each bound spec and the learner's fit to the setting.
+    Returns the environment it built."""
     if cfg.T < 0:
         raise ValueError(f"the horizon T must be nonnegative, got {cfg.T}")
     if cfg.bounds and not cfg.seeds:
         raise ValueError("bound checks need at least one seed")
-    env = _environment(cfg)
+    try:
+        env = _environment(cfg)
+    except ParameterError as exc:
+        if exc.name != "eps":
+            raise
+        # a family reads env_eps when it is set, else eps
+        flag = "--eps" if cfg.env_eps is None else "--env-eps"
+        raise ParameterError(f"{exc} from {flag}") from None
     mode = _mode(cfg, env)
     for spec in cfg.bounds:
         name = spec.get("name")
@@ -344,12 +356,31 @@ def check_config(cfg: ExperimentConfig) -> None:
                     " or in the config" if keys[key] == "cfg" else ""))
     _check_read(cfg)
     check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
+    return env
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> MetricsReport:
     """Execute every seed (in parallel when configured) and evaluate bounds."""
     threads = _threads(threads)
     check_config(cfg)  # before spawning workers
+    return _run_checked(cfg, threads)
+
+
+def run_sweep(cfgs: list, threads: int | None = None) -> list:
+    """The report of each config in turn.  Every config is checked before the
+    first one runs, and each environment is built once, by its check: its
+    run takes it from there, and the next run releases it."""
+    threads = _threads(threads)
+    envs = [check_config(cfg) for cfg in cfgs]
+    reports = []
+    for cfg in cfgs:
+        _env_cache.clear()
+        _env_cache[tuple(_env_args(cfg).values())] = envs.pop(0)
+        reports.append(_run_checked(cfg, threads))
+    return reports
+
+
+def _run_checked(cfg: ExperimentConfig, threads: int) -> MetricsReport:
     seeds = list(cfg.seeds)
     if threads > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import

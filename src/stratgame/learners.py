@@ -79,6 +79,17 @@ class _VersionSpaceLearner(Learner):
         self.rounds_seen += m
         self._last_choice = self.hclass[self.alive[0]]
 
+    def run_correct(self, context, wrong, m):
+        # observe on a correct round only counts it
+        choose = self.choose
+        for k in range(m):
+            f = choose(context)
+            if wrong(f):
+                self.rounds_seen += k
+                return k, f
+        self.rounds_seen += m
+        return m, None
+
     def finalize(self):
         if self._last_choice is not None:
             return self._last_choice

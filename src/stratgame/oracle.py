@@ -23,6 +23,15 @@ class SupportTooLarge(ValueError):
     pass
 
 
+class ParameterError(ValueError):
+    """An environment was asked for parameters outside its valid range;
+    ``name`` is the parameter at fault where the check singles one out."""
+
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name
+
+
 def _as_fraction(x) -> Fraction:
     # Fraction(float) is the exact binary value of the float, so float
     # epsilons stay self-consistent; pass Fraction for humanly exact values.
@@ -74,7 +83,7 @@ def describe_region(tag: str, n: int, f) -> Region:
 
 
 def check_family(tag: str, n: int, eps, target: int) -> None:
-    """Reject what the family itself rejects: n below 2 on appG and appI or 1
+    """Raise ParameterError for what the family rejects: n below 2 on appG and appI or 1
     on appJ and appK, eps outside 0 < c*eps <= 1, with c = 3n on appG, 3(n-1)
     on appJ and 6 on appI and appK, and a target outside 0..n-1.  eps is
     checked as given, before it becomes a Fraction, so a float eps passes
@@ -85,11 +94,12 @@ def check_family(tag: str, n: int, eps, target: int) -> None:
     if c is None:
         raise KeyError(f"no exact oracle for family {tag!r}")
     if n < least:
-        raise ValueError(f"{tag} needs n >= {least}, got n={n}")
+        raise ParameterError(f"{tag} needs n >= {least}, got n={n}")
     if not (0 < eps and c * eps <= 1):  # also rejects nan
-        raise ValueError(f"{tag} at n={n} needs 0 < eps and {c}*eps <= 1, got eps={eps}")
+        raise ParameterError(f"{tag} at n={n} needs 0 < eps and {c}*eps <= 1, "
+                             f"got eps={eps}", "eps")
     if not 0 <= target < n:
-        raise ValueError(f"target must be in 0..{n - 1}, got {target}")
+        raise ParameterError(f"target must be in 0..{n - 1}, got {target}")
 
 
 def _check_exact_size(n: int) -> None:

@@ -203,6 +203,15 @@ class Learner:
         ``choose``/``observe`` calls would, learner randomness included."""
         raise NotImplementedError
 
+    def run_correct(self, context, wrong, m: int):
+        """Choose as up to m ``choose(context)`` calls would and stop at the
+        first f with ``wrong(f)``: return ``(k, f)``, with k the rounds before
+        it, which count as observed correct rounds, or ``(m, None)`` after m
+        correct rounds.  The caller plays f's round in full.  Only a learner
+        whose correct rounds leave ``settled`` and ``state_version`` as they
+        were may take more than one; this default plays one round."""
+        return 0, self.choose(context)
+
     # white-box hooks for adaptive adversaries
     def predictor_distribution(self):
         """Exact distribution of the next choice as [(predictor, prob), ...], or None."""
@@ -313,6 +322,25 @@ def _respond(space, agent, f, setting, tie, rng, t, memo=None, skipped=False):
     return delta, y_hat
 
 
+def _judge(space, agent, setting, tie, rng, t, memo, rounds):
+    """The ``wrong`` test of ``run_correct`` on a repeated agent from round t
+    on: whether f mispredicts, answered through the response memo.  A
+    correct round's feedback goes to ``rounds`` unless that is None."""
+    u = t
+
+    def wrong(f):
+        nonlocal u
+        delta, y_hat = _respond(space, agent, f, setting, tie, rng, u, memo)
+        if y_hat != agent.y:
+            return True
+        if rounds is not None:
+            rounds.append(build_feedback(setting, u, f, agent, delta, y_hat))
+        u += 1
+        return False
+
+    return wrong
+
+
 def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpace,
               tie: TieBreak = TieBreak.FIXED_LOWEST,
               rng: random.Random | None = None, t: int = 1, memo=None) -> Feedback:
@@ -392,7 +420,14 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     predicts the label (``RecoveryError``).  Adaptive sources skip too:
     while settled, the learner's next choice is the target with certainty,
     so all that an adversary reads through ``LearnerView`` (distribution,
-    estimate and version) is the same whether or not ``skip`` ran.
+    estimate and version) is the same whether or not ``skip`` ran.  An
+    adaptive source that declares ``agent_follows_version`` promises that its
+    agent is a function of the learner's ``state_version``.  Under fixed
+    ties, once such a source repeats its object and the version is not None,
+    the rounds until the version changes are one span, played without
+    asking the source again: a skip takes the rest of its rounds at once,
+    and otherwise ``run_correct`` takes the correct rounds, answered through
+    the memo, before its first wrong choice is played in full.
     ``record`` decides only what is kept: every round's ``Feedback``
     ("full") or the mistake count ("counts").
     """
@@ -409,6 +444,7 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
 
     transcript = Transcript(setting, T)
     full = record == "full"
+    rounds = transcript.rounds if full else None
     # adaptive adversaries that commit lazily declare no target
     target = None if source.target is None else hclass[source.target]
     consistent = list(range(len(hclass))) if target is None else None
@@ -418,12 +454,17 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     checked = None  # the last agent object that passed the realizability check
     may_memo = tie is TieBreak.FIXED_LOWEST  # a uniform tie draw reads the tie stream
     memo = None  # the repeated agent's checked (delta, y_hat) by positive region
+    may_span = may_memo and getattr(source, "agent_follows_version", False)
 
-    for t in range(1, T + 1):
+    t = 0
+    while t < T:
+        t += 1
         agent = next_agent(t)
+        span = False  # the agent stays this object until the learner's version changes
         if agent is checked:  # an agent is immutable, so its verdict stands
             if memo is None and may_memo:
                 memo = {}
+            span = may_span and learner.state_version() is not None
         else:
             memo = None
             if target is not None and strategic_loss(space, target, agent) != 0:
@@ -442,18 +483,32 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                 f, skipping = settled[0], min(settled[1], T - t + 1)
                 learner.skip(skipping)
         if skipping:
-            skipping -= 1
             delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t, memo, True)
             if y_hat != agent.y:
                 raise RecoveryError(t, "the declared target mispredicts the label")
+            m = skipping if span else 1  # a skip keeps the version: the rest is settled
+            skipping -= m
             if full:
-                transcript.rounds.append(build_feedback(setting, t, f, agent, delta, y_hat))
+                rounds.extend(build_feedback(setting, u, f, agent, delta, y_hat)
+                              for u in range(t, t + m))
+            t += m - 1
             continue
-        fb = run_round(agent, learner, setting, space, tie, tie_rng, t, memo)
+        if span:
+            k, f = learner.run_correct(
+                agent.x if setting.reveals_x_before else None,
+                _judge(space, agent, setting, tie, tie_rng, t, memo, rounds), T - t + 1)
+            t += k
+            if f is None:
+                break
+            delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t, memo)
+            fb = build_feedback(setting, t, f, agent, delta, y_hat)
+            learner.observe(fb)
+        else:
+            fb = run_round(agent, learner, setting, space, tie, tie_rng, t, memo)
         if fb.mistake:
             transcript.mistakes += 1
         if full:
-            transcript.rounds.append(fb)
+            rounds.append(fb)
         if learner.finished:
             transcript.T = t
             break

@@ -505,6 +505,13 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--n", "6", "--T", "50",
     (["--env", "appG", "--learner", "random-union", "--n", "6", "--eps", "0.05",
       "--env-eps", "0.05", "--T", "10", "--seeds", "2", "--bound", "expected-loss:eps=0.05"],
      None, "appG (it reads env_eps), random-union and the bounds do not read eps"),
+    # a bad family eps names the flag that supplied it
+    (["--env", "appG", "--learner", "seq-elim", "--n", "4", "--env-eps", "nan", "--T", "5",
+      "--seeds", "1"], None,
+     "error: appG at n=4 needs 0 < eps and 12*eps <= 1, got eps=nan from --env-eps\n"),
+    (["--env", "appG", "--learner", "seq-elim", "--n", "4", "--eps", "nan", "--T", "5",
+      "--seeds", "1"], None,
+     "error: appG at n=4 needs 0 < eps and 12*eps <= 1, got eps=nan from --eps\n"),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):
@@ -567,6 +574,27 @@ def test_sweep_bad_value_exits_2_before_any_seed(monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: --values must be a comma list of integers, got '5,x'\n"
+
+
+def test_sweep_builds_each_environment_once(monkeypatch, capsys):
+    # the check of every value builds its environment, and its run reuses it
+    from stratgame import harness
+
+    built = []
+    real = harness.make_environment
+
+    def counted(**args):
+        built.append(args["n"])
+        return real(**args)
+
+    monkeypatch.setattr(harness, "make_environment", counted)
+    monkeypatch.setattr(harness, "_env_cache", {})
+    monkeypatch.setenv("STRATGAME_THREADS", "1")
+    code = main(["sweep", "--env", "appJ", "--learner", "seq-elim", "--eps", "0.02", "--T",
+                 "20", "--seeds", "2", "--param", "n", "--values", "4,5,6"])
+    assert code == 0
+    assert built == [4, 5, 6]
+    assert [r["n"] for r in json.loads(capsys.readouterr().out)] == [4, 5, 6]
 
 
 @pytest.mark.parametrize("param,values,message", [

@@ -339,3 +339,40 @@ def test_eliminators_keep_target_alive(seed):
         lrn = make_learner(name)
         run_online(env.source_for_run(seed, 40), lrn, setting, 40, seed)
         assert target in lrn.alive_indices
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("mwmr", "random-union", "seq-elim")), st.integers(2, 12),
+       st.integers(0, 10_000), st.integers(0, 40))
+def test_run_correct_chooses_as_choose_and_correct_observes_would(name, n, seed, m):
+    # wrong(f) is a mistake exactly when f meets the drawn index, which may
+    # be dead: then all m rounds are correct
+    from stratgame.protocol import Feedback
+
+    rng = random.Random(seed)
+    space = ScaledBasisSpace(n)
+    hclass = HypothesisClass([basis(i) for i in range(n)])
+    alive = sorted(rng.sample(range(n), rng.randint(1, n)))
+    bad = rng.randrange(n)
+
+    def wrong(f):
+        return bad in f.parts
+
+    learners = []
+    for _ in range(2):
+        learner = make_learner(name)
+        learner.reset(hclass, space, Setting.XD_AFTER, random.Random(f"{seed}:learner"))
+        learner.alive = list(alive)
+        learners.append(learner)
+    spanned, looped = learners
+    got = spanned.run_correct(None, wrong, m)
+    want = (m, None)
+    for k in range(m):
+        f = looped.choose(None)
+        if wrong(f):
+            want = (k, f)
+            break
+        looped.observe(Feedback(k + 1, f, 1, 1, None, None))
+    assert got == want
+    assert spanned.rounds_seen == looped.rounds_seen
+    assert spanned.rng.getstate() == looped.rng.getstate()

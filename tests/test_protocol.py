@@ -598,7 +598,9 @@ def _skipped_rounds(monkeypatch, source, make, setting, T, seed):
     ``settled`` overridden to return None; check that the three runs agree
     on rows, mistakes, rounds, output parts and the rng states after
     finalize, the adversary's estimate stream included, and return how many
-    rounds the skipping runs skipped."""
+    rounds the skipping runs did not play through ``run_round``.  The
+    reference run plays an adaptive source through ``_FreshCopies``, so that
+    it plays no repeat span either and calls ``run_round`` every round."""
     from stratgame import protocol
 
     made, played = [], [0]
@@ -616,12 +618,14 @@ def _skipped_rounds(monkeypatch, source, make, setting, T, seed):
     monkeypatch.setattr(protocol, "RngStreams", Recorded)
     monkeypatch.setattr(protocol, "run_round", counted)
     out, rounds = [], []
+    reference = _FreshCopies(source) if source.kind == "adaptive" else source
     for record, skip in (("full", True), ("counts", True), ("full", False)):
         learner = make()
         if not skip:
             learner.settled = lambda: None
         played[0] = 0
-        tr = run_online(source, learner, setting, T, seed, record=record)
+        tr = run_online(source if skip else reference, learner, setting, T, seed,
+                        record=record)
         parts = learner.finalize().parts
         s = made[-1]
         out.append((tr.mistakes, tr.T, parts, s.learner.getstate(), s.tie.getstate(),
@@ -677,7 +681,8 @@ def test_counts_runs_match_full_runs_on_the_families(monkeypatch, env_name, name
     assert skipped > 0
 
 
-@pytest.mark.parametrize("name", ["mwmr", "random-union", "seq-elim", "survivor:mwmr"])
+@pytest.mark.parametrize("name", ["mwmr", "random-union", "seq-elim", "survivor:mwmr",
+                                  "survivor:seq-elim"])
 def test_counts_runs_match_full_runs_against_the_probing_adversary(monkeypatch, name):
     # random-union shows appE only draws, taken from the estimate stream, which
     # _skipped_rounds compares along with the learner's own stream
@@ -751,6 +756,48 @@ def test_reused_responses_leave_the_run_as_it_was(monkeypatch, name):
             responses.append(len(calls))
         assert out[0] == out[1]
         assert responses[0] < responses[1] == 400
+
+
+def test_the_probing_adversary_is_asked_twice_per_learner_state(monkeypatch):
+    # appE declares that its agent follows the learner's state version: each
+    # version is asked for its new agent and, once the agent repeats, for
+    # nothing until the version changes; every mwmr mistake shrinks the
+    # version space, so a run holds at most mistakes + 1 versions
+    from stratgame.environments import _ProbingState
+
+    calls = []
+    real = _ProbingState.next_agent
+
+    def counted(self, view):
+        calls.append(view)
+        return real(self, view)
+
+    monkeypatch.setattr(_ProbingState, "next_agent", counted)
+    env = make_environment("appE", 16)
+    for seed in range(3):
+        calls.clear()
+        tr = run_online(env.source_for_run(seed, 2000), make_learner("mwmr"),
+                        Setting.XD_AFTER, 2000, seed, record="counts")
+        assert tr.mistakes > 0
+        assert len(calls) <= 2 * (tr.mistakes + 1)
+
+
+@pytest.mark.parametrize("target", [0, None])
+@pytest.mark.parametrize("declared,asked", [(False, 6), (True, 2)])
+def test_only_a_declaring_source_is_spared_the_repeated_rounds(star5, target,
+                                                               declared, asked):
+    # one object on rounds 1-3, then another: seq-elim plays spoke 1, correct
+    # on every round, so its version never changes.  Undeclared, the source
+    # is asked on every round; declared, the span from round 2 on trusts the
+    # declaration and asks no more, whether the rounds are skipped (declared
+    # target) or taken by run_correct (no target)
+    first = Agent(matrix_point(1), Ball(0.0), 1)
+    then = Agent(matrix_point(1), Ball(0.0), 1)
+    src = _Scripted(star5, target, lambda t: first if t <= 3 else then)
+    src.agent_follows_version = declared
+    tr = run_online(src, make_learner("seq-elim"), Setting.XD_AFTER, 6, 0)
+    assert src.t == asked
+    assert tr.mistakes == 0 and [r.t for r in tr.rounds] == [1, 2, 3, 4, 5, 6]
 
 
 class _Cycling(ConstantLearner):
