@@ -56,7 +56,8 @@ CASES = (
     + [("star-ex42", "seq-elim", "none"), ("star-ex42", "seq-elim", "x-delta-after"),
        ("star-ex42", "survivor:seq-elim", "delta-only")]
     + [("appE", "mwmr", "x-delta-after"), ("appE", "random-union", "x-delta-after"),
-       ("appE", "seq-elim", "none")]
+       ("appE", "seq-elim", "none"), ("appE", "survivor:mwmr", "x-delta-after"),
+       ("appE", "survivor:seq-elim", "none")]
     # learners that need x only after the round, given it before choosing
     + [("stream-star", "mwmr", "x-delta"), ("stream-star", "random-union", "x-delta"),
        ("appG", "random-union", "x-delta"), ("appJ", "mwmr", "x-delta")]
@@ -248,6 +249,16 @@ GOLDEN = {
         2: (5, "3a152a303ff6b2b14be8694c97238777d8c3d6ac85a0e2d64ea1a8db015cd91c"),
     },
     ('appE', 'seq-elim', 'none'): {
+        0: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
+        1: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
+        2: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
+    },
+    ('appE', 'survivor:mwmr', 'x-delta-after'): {
+        0: (5, "1018bdd8b86b3be105bfd1bd9f8a77c16a65faa80b17b911db68162ddf8f3735"),
+        1: (5, "dc207da74ce21dc3ac943e1d86993c126c0ae7ba5a03cbcd8fed560fab0bce4e"),
+        2: (5, "72bf31148f50641497c3e088949f64363108547938716316a53fcdaf3a9f0864"),
+    },
+    ('appE', 'survivor:seq-elim', 'none'): {
         0: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
         1: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
         2: (5, "c024a962055aecc7e6ef756a80b4e6398d3072b8cad6bd5b2c1564bf41657860"),
