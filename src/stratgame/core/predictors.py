@@ -29,10 +29,6 @@ class Hypothesis:
         self.positive = frozenset(positive)
         self.parts = parts
 
-    def key(self) -> tuple:
-        """Sorted distinct part indices; identity of the predicted function."""
-        return tuple(sorted(set(self.parts)))
-
     def __eq__(self, other):
         return isinstance(other, Hypothesis) and self.positive == other.positive
 

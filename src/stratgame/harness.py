@@ -99,8 +99,8 @@ def _check_read(cfg: ExperimentConfig) -> None:
             # the wrappers read both, a family reads eps unless env_eps is set,
             # and a bound reads the config's value where its spec omits the key
             family = f.name == "eps" and cfg.env in _FAMILIES
-            bound = any(f.name not in spec and BOUND_LIBRARY[spec["name"]][1].get(f.name)
-                        == "cfg" for spec in cfg.bounds)
+            bound = any(f.name not in spec and BOUND_LIBRARY[spec["name"]][1].get(
+                f.name, (None,))[0] == "cfg" for spec in cfg.bounds)
             who = (f"{cfg.env} (it reads env_eps), " if family else
                    f"{cfg.env}, " if f.name == "eps" else "") + cfg.learner
             if not (cfg.learner.startswith(_PAC_PREFIXES) or bound
@@ -266,17 +266,26 @@ def _bound_union_budget(cfg, params, rows, agg):
 
 _OUTPUT_LOSS_BOUNDS = ("expected-loss", "loss-quantile")
 
-# Each bound's formula and the keys of its spec, each mapped to its default:
-# None when the spec must give it, "cfg" when it falls back to the config
-# field of the same name.
+# A spec key's range: its statement, with {} for the key, and its test,
+# which a nan fails.
+_OPEN_UNIT = ("0 < {} < 1", lambda v: 0 < v < 1)
+_UNIT = ("0 < {} <= 1", lambda v: 0 < v <= 1)
+_UNIT_FROM_0 = ("0 <= {} < 1", lambda v: 0 <= v < 1)
+_COUNT = ("an integer {} >= 0", lambda v: isinstance(v, int) and v >= 0)
+
+# Each bound's formula and the keys of its spec, each mapped to its default
+# and its range.  The default is None when the spec must give the key, and
+# "cfg" when it falls back to the config field of the same name.
 BOUND_LIBRARY = {
     "halving-mistake-bound": (_bound_halving, {}),
     "mwmr-expected-mistake-bound": (_bound_mwmr, {}),
-    "adversary-mistake-floor": (_bound_adversary_floor, {"delta": "cfg", "fraction": 0.7}),
-    "expected-loss": (_bound_expected_loss, {"eps": "cfg"}),
-    "loss-quantile": (_bound_loss_quantile, {"limit": None, "fraction": 0.9}),
-    "exact-mistake-count": (_bound_exact_mistakes, {"count": None}),
-    "union-round-budget": (_bound_union_budget, {"eps": "cfg"}),
+    "adversary-mistake-floor": (_bound_adversary_floor,
+                                {"delta": ("cfg", _OPEN_UNIT), "fraction": (0.7, _UNIT)}),
+    "expected-loss": (_bound_expected_loss, {"eps": ("cfg", _UNIT)}),
+    "loss-quantile": (_bound_loss_quantile,
+                      {"limit": (None, _UNIT_FROM_0), "fraction": (0.9, _UNIT)}),
+    "exact-mistake-count": (_bound_exact_mistakes, {"count": (None, _COUNT)}),
+    "union-round-budget": (_bound_union_budget, {"eps": ("cfg", _UNIT)}),
 }
 
 
@@ -284,7 +293,7 @@ def _bound_params(cfg: ExperimentConfig, spec: dict) -> dict:
     """A bound spec's keys, each omitted one at its default or config value."""
     keys = BOUND_LIBRARY[spec["name"]][1]
     params = {key: getattr(cfg, key) if default == "cfg" else default
-              for key, default in keys.items()}
+              for key, (default, _) in keys.items()}
     params.update((key, value) for key, value in spec.items() if key != "name")
     return params
 
@@ -351,9 +360,13 @@ def check_config(cfg: ExperimentConfig):
             if key not in keys:
                 raise ValueError(f"bound {name!r} has no key {key!r}; it takes "
                                  f"{', '.join(keys) or 'no keys'}")
+            default, (statement, test) = keys[key]
             if value is None:
                 raise ValueError(f"bound {name!r} needs {key} in its spec" + (
-                    " or in the config" if keys[key] == "cfg" else ""))
+                    " or in the config" if default == "cfg" else ""))
+            if not test(value):
+                raise ValueError(f"bound {name!r} needs {statement.format(key)}, "
+                                 f"got {key}={value}")
     _check_read(cfg)
     check_learner(_learner(cfg, len(env.hclass)), Setting.from_name(cfg.setting), env)
     return env

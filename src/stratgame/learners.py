@@ -1,4 +1,4 @@
-"""Learning algorithms: version-space eliminators and PAC wrappers.
+"""Learning algorithms: version-space eliminators and two PAC conversions.
 
 The four base learners share one version space, the class indices still
 consistent with the mistake rounds seen so far, and each adds a choice rule
@@ -8,6 +8,7 @@ cut of ``seq-elim``, valid for any manipulation set.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -263,7 +264,7 @@ def _check_accuracy(epsilon: float, delta: float) -> None:
 class SurvivorConfig:
     """Parameters of the mistake-bound to PAC conversion.
 
-    ``budget`` bounds how many distinct predictors the wrapped conservative
+    ``budget`` bounds how many distinct predictors the conservative base
     learner can emit; the output is the first predictor surviving
     ceil((1/epsilon) * ln(budget/delta)) consecutive rounds.
     """
@@ -284,74 +285,60 @@ class SurvivorConfig:
         return self.budget * self.threshold
 
 
-class LongestSurvivor(Learner):
-    """PAC wrapper: output the first predictor the base keeps for long enough.
-    A base that chooses from x changes its choice with x on rounds without a
-    mistake, so no predictor would survive: it is rejected."""
+class LongestSurvivor:
+    """PAC rule, mixed in before a conservative base learner: output the first
+    predictor the base plays on ``config.threshold`` consecutive rounds.  The
+    base chooses without x and plays class members, so a streak compares
+    choices by identity; everything else is the base's own.  Built per base
+    by ``make_learner("survivor:<base>")``."""
 
-    name = "survivor"
-    conservative = True
-
-    def __init__(self, base: Learner, config: SurvivorConfig):
-        if not base.conservative:
-            raise ContractViolation("longest-survivor needs a conservative base learner")
-        if base.requires is Setting.X_BEFORE:
-            raise ContractViolation(f"longest-survivor needs a base that chooses "
-                                    f"without x; {base.name} chooses from x")
-        self.base = base
+    def __init__(self, config: SurvivorConfig):
         self.config = config
-        self.name = f"survivor:{base.name}"
-        self.requires = base.requires
-        self.manipulation = base.manipulation
-        self.exposes = base.exposes
 
     def reset(self, hclass, space, setting, rng):
-        self.base.reset(hclass, space, setting, rng)
+        super().reset(hclass, space, setting, rng)
         self._streak = 0
-        self._prev_key = None
-        self._last = None
         self._frozen = None
 
     def choose(self, context):
-        f = self.base.choose(context)
-        self._played(f, 1)
+        prev = self._last_choice
+        f = super().choose(context)
+        self._played(prev, 1)
         return f
 
-    def _played(self, f, m):
-        """Record that f was played on m consecutive rounds."""
-        key = f.key()
-        self._streak = (self._streak if key == self._prev_key else 0) + m
-        self._prev_key = key
-        self._last = f
+    def skip(self, m):
+        prev = self._last_choice
+        super().skip(m)
+        self._played(prev, m)
+
+    def _played(self, prev, m):
+        """Count m rounds of ``_last_choice``; its streak goes on from the
+        rounds before them only if they played it too (``prev``)."""
+        f = self._last_choice
+        self._streak = (self._streak if f is prev else 0) + m
         if self._frozen is None and self._streak >= self.config.threshold:
             self._frozen = f
-
-    def observe(self, feedback):
-        self.base.observe(feedback)
-
-    def settled(self):
-        return self.base.settled()
-
-    def skip(self, m):
-        f = self.base.settled()[0]
-        self.base.skip(m)
-        self._played(f, m)
 
     def finalize(self):
         if self._frozen is not None:
             return self._frozen
         # before any round there is no choice yet: the base's output stands
-        return self._last if self._last is not None else self.base.finalize()
+        f = self._last_choice
+        return f if f is not None else super().finalize()
 
-    def predictor_distribution(self):
-        return self.base.predictor_distribution()
 
-    def state_version(self):
-        return self.base.state_version()
-
-    @property
-    def alive_indices(self):
-        return self.base.alive_indices
+@functools.cache
+def _survivor(base: type) -> type:
+    """The class of ``survivor:<base>``.  A base that chooses from x changes
+    its choice with x on rounds without a mistake, so no predictor would
+    survive: it is rejected."""
+    if not base.conservative:
+        raise ContractViolation("longest-survivor needs a conservative base learner")
+    if base.requires is Setting.X_BEFORE:
+        raise ContractViolation(f"longest-survivor needs a base that chooses "
+                                f"without x; {base.name} chooses from x")
+    return type(f"Survivor{base.__name__}", (LongestSurvivor, base),
+                {"name": f"survivor:{base.name}"})
 
 
 @dataclass
@@ -514,7 +501,7 @@ def make_learner(name: str, n: int | None = None, epsilon: float | None = None,
     if wrapper == "survivor":
         # a conservative base that chooses without x plays at most n predictors
         cfg = SurvivorConfig(budget=n, epsilon=epsilon, delta=delta)
-        return LongestSurvivor(_BASES[base_name](), cfg)
+        return _survivor(_BASES[base_name])(cfg)
     if base_rounds is None:
         base_rounds = default_union_rounds(n, epsilon)
     cfg = BoostConfig(epsilon=epsilon, delta=delta, base_rounds=base_rounds)

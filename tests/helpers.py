@@ -191,7 +191,7 @@ def point_str(p: Point) -> str:
 def predictor_indices(f: Hypothesis) -> list:
     """Sorted class indices of a union; [] encodes the all-negative predictor."""
     if f.parts is not None:
-        return list(f.key())
+        return sorted(set(f.parts))
     if not f.positive:
         return []
     raise ValueError("predictor is not a class union; cannot serialize by index")

@@ -512,6 +512,32 @@ _APPE = ["--env", "appE", "--learner", "random-union", "--n", "6", "--T", "50",
     (["--env", "appG", "--learner", "seq-elim", "--n", "4", "--eps", "nan", "--T", "5",
       "--seeds", "1"], None,
      "error: appG at n=4 needs 0 < eps and 12*eps <= 1, got eps=nan from --eps\n"),
+    # a bound value outside its key's range, from the spec or from the config
+    *((["--env", "appE", "--learner", "mwmr", "--n", "8", "--T", "10", "--seeds", "2",
+        "--bound", f"adversary-mistake-floor:delta={delta}"], None,
+       f"bound 'adversary-mistake-floor' needs 0 < delta < 1, got delta={delta}")
+      for delta in ("100", "0", "-1", "nan")),
+    (["--env", "appE", "--learner", "mwmr", "--n", "8", "--T", "10", "--seeds", "2",
+      "--delta", "0", "--bound", "adversary-mistake-floor"], None,
+     "bound 'adversary-mistake-floor' needs 0 < delta < 1, got delta=0.0"),
+    *((["--env", "appG", "--learner", "random-union", "--n", "4", "--eps", "0.05", "--T",
+        "10", "--seeds", "2", "--bound", f"union-round-budget:eps={eps}"], None,
+       f"bound 'union-round-budget' needs 0 < eps <= 1, got eps={eps}")
+      for eps in ("-1", "0", "1.5")),
+    (_APPJ + ["--T", "10", "--seeds", "1", "--bound",
+              "adversary-mistake-floor:delta=0.1,fraction=0"], None,
+     "bound 'adversary-mistake-floor' needs 0 < fraction <= 1, got fraction=0"),
+    *((["--env", "appG", "--learner", "random-union", "--n", "4", "--eps", "0.05", "--T",
+        "10", "--seeds", "2", "--bound", f"loss-quantile:{spec}"], None, message)
+      for spec, message in (
+          ("limit=0.1,fraction=1.5",
+           "bound 'loss-quantile' needs 0 < fraction <= 1, got fraction=1.5"),
+          ("limit=1", "bound 'loss-quantile' needs 0 <= limit < 1, got limit=1"),
+          ("limit=-0.5", "bound 'loss-quantile' needs 0 <= limit < 1, got limit=-0.5"),
+          ("limit=nan", "bound 'loss-quantile' needs 0 <= limit < 1, got limit=nan"))),
+    *((_APPJ + ["--T", "10", "--seeds", "1", "--bound", f"exact-mistake-count:count={count}"],
+       None, f"bound 'exact-mistake-count' needs an integer count >= 0, got count={count}")
+      for count in ("-1", "2.5", "nan")),
 ])
 def test_configuration_errors_exit_2_before_any_seed(monkeypatch, capsys, argv,
                                                      threads_env, message):

@@ -12,7 +12,6 @@ from stratgame.environments import make_environment
 from stratgame.learners import (
     BoostConfig,
     BoostLearner,
-    LongestSurvivor,
     RandomUnionLearner,
     SurvivorConfig,
     make_learner,
@@ -374,10 +373,8 @@ def test_pac_configs_range_check_epsilon_and_delta(epsilon, delta, field):
 
 
 def test_survivor_requires_conservative_base():
-    space, hclass = line_space(3)
-    base = make_learner("random-union")
     with pytest.raises(ContractViolation):
-        LongestSurvivor(base, SurvivorConfig(budget=3, epsilon=0.5, delta=0.5))
+        make_learner("survivor:random-union", n=3, epsilon=0.5, delta=0.5)
 
 
 def test_survivor_outputs_first_stable_predictor():
@@ -525,7 +522,7 @@ def test_learners_on_one_environment_share_one_distance_index():
     assert halving.index is shared and mwmr.index is shared
     survivor = make_learner("survivor:mwmr", n=6, epsilon=0.1, delta=0.1)
     survivor.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(2))
-    assert survivor.base.index is shared
+    assert survivor.index is shared
     # every outer round of boost builds a fresh base on the same index; an
     # all-negative candidate loses 0.7 > 4 eps, so every validation rejects
     bases = []

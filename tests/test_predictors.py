@@ -101,11 +101,6 @@ def test_union_needs_parts(star8):
         hclass.union(())
 
 
-def test_union_key_dedupes(star8):
-    _, hclass = star8
-    assert hclass.union((3, 1, 3)).key() == (1, 3)
-
-
 def test_distance_index_rows_match_bruteforce(star8):
     space, hclass = star8
     index = ClassDistanceIndex(space, hclass)

@@ -342,11 +342,13 @@ def test_eliminators_keep_target_alive(seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(("mwmr", "random-union", "seq-elim")), st.integers(2, 12),
+@given(st.sampled_from(("mwmr", "random-union", "seq-elim", "survivor:mwmr",
+                        "survivor:seq-elim")), st.integers(2, 12),
        st.integers(0, 10_000), st.integers(0, 40))
 def test_run_correct_chooses_as_choose_and_correct_observes_would(name, n, seed, m):
     # wrong(f) is a mistake exactly when f meets the drawn index, which may
-    # be dead: then all m rounds are correct
+    # be dead: then all m rounds are correct.  A survivor's threshold,
+    # ceil(2 ln(2n)), is 3 to 7 rounds, so its streak ends inside a span
     from stratgame.protocol import Feedback
 
     rng = random.Random(seed)
@@ -360,7 +362,7 @@ def test_run_correct_chooses_as_choose_and_correct_observes_would(name, n, seed,
 
     learners = []
     for _ in range(2):
-        learner = make_learner(name)
+        learner = make_learner(name, n=n, epsilon=0.5, delta=0.5)
         learner.reset(hclass, space, Setting.XD_AFTER, random.Random(f"{seed}:learner"))
         learner.alive = list(alive)
         learners.append(learner)
@@ -376,3 +378,6 @@ def test_run_correct_chooses_as_choose_and_correct_observes_would(name, n, seed,
     assert got == want
     assert spanned.rounds_seen == looped.rounds_seen
     assert spanned.rng.getstate() == looped.rng.getstate()
+    assert ([getattr(spanned, a, None) for a in ("_streak", "_frozen")]
+            == [getattr(looped, a, None) for a in ("_streak", "_frozen")])
+    assert spanned.finalize() == looped.finalize()

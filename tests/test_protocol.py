@@ -758,11 +758,13 @@ def test_reused_responses_leave_the_run_as_it_was(monkeypatch, name):
         assert responses[0] < responses[1] == 400
 
 
-def test_the_probing_adversary_is_asked_twice_per_learner_state(monkeypatch):
+@pytest.mark.parametrize("name", ["mwmr", "survivor:mwmr"])
+def test_the_probing_adversary_is_asked_twice_per_learner_state(monkeypatch, name):
     # appE declares that its agent follows the learner's state version: each
     # version is asked for its new agent and, once the agent repeats, for
     # nothing until the version changes; every mwmr mistake shrinks the
-    # version space, so a run holds at most mistakes + 1 versions
+    # version space, so a run holds at most mistakes + 1 versions.  The
+    # survivor rule keeps its base's versions, and so its spans
     from stratgame.environments import _ProbingState
 
     calls = []
@@ -776,7 +778,8 @@ def test_the_probing_adversary_is_asked_twice_per_learner_state(monkeypatch):
     env = make_environment("appE", 16)
     for seed in range(3):
         calls.clear()
-        tr = run_online(env.source_for_run(seed, 2000), make_learner("mwmr"),
+        tr = run_online(env.source_for_run(seed, 2000),
+                        make_learner(name, n=16, epsilon=0.1, delta=0.1),
                         Setting.XD_AFTER, 2000, seed, record="counts")
         assert tr.mistakes > 0
         assert len(calls) <= 2 * (tr.mistakes + 1)
