@@ -76,9 +76,9 @@ class Agent:
     """An agent (x, u, y): original feature, manipulation set and true label.
 
     Agents are values: nothing mutates one, or its manipulation set, after
-    construction.  So an object keeps its realizability verdict, and
-    ``protocol.run_online`` checks each emitted object once, however many
-    rounds in a row it is played.
+    construction, so an agent kept for a span of rounds keeps its
+    realizability verdict.  Its identity carries nothing: a source hands
+    ``protocol.run_online`` a new agent or an old one alike.
     """
 
     __slots__ = ("x", "u", "y")

@@ -348,8 +348,10 @@ class ProbingAdversary:
     otherwise it plants a negative at the scaled copy of the most likely
     positive basis direction, with radius 0.1 (reaching the basis point) off
     target and 0 on target.  Needs 0 < c <= 1; a learner that shows no exact
-    distribution is estimated from ``samples`` draws.  The agent is decided
-    once per learner state version, which ``agent_follows_version`` declares.
+    distribution is estimated from ``samples`` draws.  Each call decides
+    afresh.  The agent is a function of the learner's state, which
+    ``agent_follows_version`` declares, so the protocol asks once per
+    learner state version.
     """
 
     kind = "adaptive"
@@ -375,24 +377,16 @@ class ProbingAdversary:
         self.samples = samples
         self.space = ScaledBasisSpace(n)
         self.hclass = HypothesisClass([basis(i) for i in range(n)])
+        self._probe_points = [ORIGIN] + [scaled_basis(j) for j in range(n)]
 
-    def fresh(self) -> "_ProbingState":
-        return _ProbingState(self)
+    def fresh(self) -> "ProbingAdversary":
+        return self  # it keeps no state from one call to the next
 
-
-class _ProbingState:
-    def __init__(self, env: ProbingAdversary):
-        self.env = env
-        self._cached_version = None
-        self._agent = None
-        self._probe_points = [ORIGIN] + [scaled_basis(j) for j in range(env.n)]
-
-    def _decide(self, view: LearnerView) -> Agent:
-        env = self.env
-        dist = view.distribution(env.samples)
+    def next_agent(self, view: LearnerView) -> Agent:
+        dist = view.distribution(self.samples)
         p_allneg = 0.0
         p_probe = dict.fromkeys(self._probe_points, 0.0)
-        weight = [0.0] * env.n
+        weight = [0.0] * self.n
         probes = p_probe.keys()
         for f, p in dist:
             pset = f.positive
@@ -411,19 +405,12 @@ class _ProbingState:
                     if pt in p_probe:
                         p_probe[pt] += p
         for pt in self._probe_points:
-            if p_probe[pt] >= env.c - 1e-12:
+            if p_probe[pt] >= self.c - 1e-12:
                 return Agent(pt, Ball(0.0), -1)
-        if p_allneg >= env.c - 1e-12:
+        if p_allneg >= self.c - 1e-12:
             return Agent(ORIGIN, Ball(1.0), 1)
         i_t = weight.index(max(weight))  # the heaviest; the lowest index on a tie
-        return Agent(scaled_basis(i_t), Ball(0.0 if i_t == env.target else 0.1), -1)
-
-    def next_agent(self, view: LearnerView) -> Agent:
-        version = view.version()
-        if version is None or version != self._cached_version:
-            self._agent = self._decide(view)
-            self._cached_version = version
-        return self._agent
+        return Agent(scaled_basis(i_t), Ball(0.0 if i_t == self.target else 0.1), -1)
 
 
 # ---------------------------------------------------------------------------

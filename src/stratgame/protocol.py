@@ -226,19 +226,16 @@ class Learner:
     def state_version(self):
         """Counter that changes whenever the learner's state does.
 
-        None means "no versioning": consumers must not cache per-state work.
+        None means "no versioning": consumers must not cache per-state work,
+        so a source that declares ``agent_follows_version`` is asked every round.
         """
         return None
 
 
 class LearnerView:
-    """What an adaptive adversary is allowed to see of the learner.
-
-    The view grants the exact next-choice distribution when the learner
-    exposes one, an empirical estimate from the adversary's sample count
-    otherwise, plus a state version counter so adversaries can cache their
-    per-state analysis.
-    """
+    """What an adaptive adversary is allowed to see of the learner: the exact
+    next-choice distribution when the learner exposes one, an empirical
+    estimate from the adversary's sample count otherwise."""
 
     def __init__(self, learner: Learner, rng: random.Random):
         self.learner = learner
@@ -254,9 +251,6 @@ class LearnerView:
         w = 1.0 / samples
         return [(self.learner.sample_predictor(self.rng), w)
                 for _ in range(samples)]
-
-    def version(self) -> int:
-        return self.learner.state_version()
 
 
 class RngStreams:
@@ -323,7 +317,7 @@ def _respond(space, agent, f, setting, tie, rng, t, memo=None, skipped=False):
 
 
 def _judge(space, agent, setting, tie, rng, t, memo, rounds):
-    """The ``wrong`` test of ``run_correct`` on a repeated agent from round t
+    """The ``wrong`` test of ``run_correct`` on a spanned agent from round t
     on: whether f mispredicts, answered through the response memo.  A
     correct round's feedback goes to ``rounds`` unless that is None."""
     u = t
@@ -343,10 +337,10 @@ def _judge(space, agent, setting, tie, rng, t, memo, rounds):
 
 def run_round(agent: Agent, learner: Learner, setting: Setting, space: MetricSpace,
               tie: TieBreak = TieBreak.FIXED_LOWEST,
-              rng: random.Random | None = None, t: int = 1, memo=None) -> Feedback:
+              rng: random.Random | None = None, t: int = 1) -> Feedback:
     """Play one round: choose, respond, observe; return the feedback observed."""
     f = learner.choose(agent.x if setting.reveals_x_before else None)
-    delta, y_hat = _respond(space, agent, f, setting, tie, rng, t, memo)
+    delta, y_hat = _respond(space, agent, f, setting, tie, rng, t)
     feedback = build_feedback(setting, t, f, agent, delta, y_hat)
     learner.observe(feedback)
     return feedback
@@ -405,29 +399,26 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
 
     Every emitted agent is checked for realizability: against the declared
     target, or, when the source declares none, by tracking the set of
-    consistent class members.  Agents are immutable values, so an object
-    emitted again on the next round (an adaptive adversary repeats its agent
-    until the learner's state changes) keeps its verdict and is not checked
-    again.  Under fixed tie-breaking it also reuses its response: from its
-    second round on, each positive region played against it gets one checked
-    ``(delta, y_hat)``, kept until a new object arrives; a uniform tie draw
-    reads the tie stream, so under ``UNIFORM_RANDOM`` every round responds
-    afresh.  On a source with a declared target, rounds on which the learner
-    is ``settled`` on the target are skipped: ``skip(m)`` replaces m
-    ``choose``/``observe`` calls, and each skipped round still draws its
-    agent, checks a new agent object for realizability, runs the played
-    round's response step on the settled predictor and checks that it
-    predicts the label (``RecoveryError``).  Adaptive sources skip too:
-    while settled, the learner's next choice is the target with certainty,
-    so all that an adversary reads through ``LearnerView`` (distribution,
-    estimate and version) is the same whether or not ``skip`` ran.  An
-    adaptive source that declares ``agent_follows_version`` promises that its
-    agent is a function of the learner's ``state_version``.  Under fixed
-    ties, once such a source repeats its object and the version is not None,
-    the rounds until the version changes are one span, played without
-    asking the source again: a skip takes the rest of its rounds at once,
-    and otherwise ``run_correct`` takes the correct rounds, answered through
-    the memo, before its first wrong choice is played in full.
+    consistent class members.  On a source with a declared target, rounds on
+    which the learner is ``settled`` on the target are skipped: ``skip(m)``
+    replaces m ``choose``/``observe`` calls, and each skipped round still
+    gets its agent as a played round would, runs the played round's
+    response step on the settled predictor and checks that it predicts the
+    label (``RecoveryError``).  Adaptive sources
+    skip too: while settled, the learner's next choice is the target with
+    certainty, so all that an adversary reads through ``LearnerView`` is the
+    same whether or not ``skip`` ran.
+
+    A source is asked for an agent every round, unless it declares
+    ``agent_follows_version``: its agent is a function of the learner's
+    ``state_version``.  Under fixed ties such a source is asked only when the
+    version is None or differs from the one its current agent was emitted
+    for, and the rounds until the version changes are one span with one
+    response memo, each positive region answered once: a skip takes the
+    rest of its rounds at once, and otherwise ``run_correct`` takes the
+    correct rounds, answered through the memo, before its first wrong choice
+    is played in full.  A uniform tie draw reads the tie stream, so under
+    ``UNIFORM_RANDOM`` every round asks and responds afresh.
     ``record`` decides only what is kept: every round's ``Feedback``
     ("full") or the mistake count ("counts").
     """
@@ -451,22 +442,18 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
     tie_rng = streams.tie
     may_skip = target is not None
     skipping = 0  # rounds left in the current skip, played with f
-    checked = None  # the last agent object that passed the realizability check
-    may_memo = tie is TieBreak.FIXED_LOWEST  # a uniform tie draw reads the tie stream
-    memo = None  # the repeated agent's checked (delta, y_hat) by positive region
-    may_span = may_memo and getattr(source, "agent_follows_version", False)
+    follows = (tie is TieBreak.FIXED_LOWEST
+               and getattr(source, "agent_follows_version", False))
+    emitted = None  # the learner version the current agent was emitted for
+    memo = None  # the spanned agent's checked (delta, y_hat) by positive region
 
     t = 0
     while t < T:
         t += 1
-        agent = next_agent(t)
-        span = False  # the agent stays this object until the learner's version changes
-        if agent is checked:  # an agent is immutable, so its verdict stands
-            if memo is None and may_memo:
-                memo = {}
-            span = may_span and learner.state_version() is not None
-        else:
-            memo = None
+        version = learner.state_version() if follows else None
+        if version is None or version != emitted:
+            agent = next_agent(t)
+            emitted, memo = version, None if version is None else {}
             if target is not None and strategic_loss(space, target, agent) != 0:
                 raise RealizabilityError(
                     t, "declared target misclassifies the emitted agent")
@@ -476,7 +463,6 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
                 if not consistent:
                     raise RealizabilityError(
                         t, "no class member is consistent with the stream")
-            checked = agent
         if may_skip and not skipping:
             settled = learner.settled()
             if settled is not None and settled[0] == target:
@@ -486,14 +472,16 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
             delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t, memo, True)
             if y_hat != agent.y:
                 raise RecoveryError(t, "the declared target mispredicts the label")
-            m = skipping if span else 1  # a skip keeps the version: the rest is settled
+            m = 1 if memo is None else skipping  # a skip keeps the version
             skipping -= m
             if full:
                 rounds.extend(build_feedback(setting, u, f, agent, delta, y_hat)
                               for u in range(t, t + m))
             t += m - 1
             continue
-        if span:
+        if memo is None:
+            fb = run_round(agent, learner, setting, space, tie, tie_rng, t)
+        else:
             k, f = learner.run_correct(
                 agent.x if setting.reveals_x_before else None,
                 _judge(space, agent, setting, tie, tie_rng, t, memo, rounds), T - t + 1)
@@ -503,8 +491,6 @@ def run_online(source, learner: Learner, setting: Setting, T: int, seed: int,
             delta, y_hat = _respond(space, agent, f, setting, tie, tie_rng, t, memo)
             fb = build_feedback(setting, t, f, agent, delta, y_hat)
             learner.observe(fb)
-        else:
-            fb = run_round(agent, learner, setting, space, tie, tie_rng, t, memo)
         if fb.mistake:
             transcript.mistakes += 1
         if full:

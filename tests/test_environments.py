@@ -140,16 +140,6 @@ def test_probing_case3_lowest_index_argmax():
     assert agent.u == Ball(0.1) and agent.y == -1
 
 
-def test_probing_agent_is_reused_while_the_learner_state_holds():
-    env = make_environment("appE", 4)
-    learner = make_learner("mwmr")
-    learner.reset(env.hclass, env.space, Setting.XD_AFTER, random.Random(0))
-    adv = env.shared.fresh()
-    view = LearnerView(learner, random.Random(0))
-    first = adv.next_agent(view)
-    assert adv.next_agent(view) is first
-
-
 def test_probing_case3_on_target_is_immovable():
     agent = _probe_agent_for(
         Hypothesis([basis(3)]), n=4, target=3)
@@ -203,16 +193,13 @@ def _decide_reference(env, dist):
 
 
 class _FixedView:
-    """A learner view that shows one given distribution and no state version."""
+    """A learner view that shows one given distribution."""
 
     def __init__(self, dist):
         self.dist = dist
 
     def distribution(self, samples):
         return self.dist
-
-    def version(self):
-        return None
 
 
 def _decisions(n, dists, target=None, c=None):

@@ -318,3 +318,23 @@ def test_bench_simulations_run_the_criteria_configs(monkeypatch, name, number, l
     sim = workloads.Simulation(name, 0, 4)
     declared = dict(acceptance.CRITERIA[number - 1].configs)[label]
     assert sim._config() == replace(declared, seeds=sim.seeds)
+
+
+def test_the_bench_tracer_wraps_and_restores_the_library(monkeypatch):
+    # the traced bench wraps library names from outside the package; a name
+    # the library drops fails here, not only in the bench's own tests
+    from pathlib import Path
+
+    from stratgame.environments import ProbingAdversary
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+
+    real = ProbingAdversary.__dict__["next_agent"]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert ProbingAdversary.__dict__["next_agent"].__wrapped__ is real
+    finally:
+        tracer.uninstall()
+    assert ProbingAdversary.__dict__["next_agent"] is real

@@ -204,7 +204,8 @@ def test_full_consistency_check(star5):
 
 
 class _Scripted:
-    """An adaptive source that emits ``make(t)`` on round t, declaring ``target``."""
+    """An adaptive source that emits ``make(t)`` on its t-th call, declaring
+    ``target``; ``t`` counts the calls."""
 
     kind = "adaptive"
     manipulation = Ball
@@ -245,23 +246,28 @@ def test_a_repeated_agent_that_the_target_misclassifies_fails_at_round_1(star5):
     assert err.value.round_index == 1
 
 
-@pytest.mark.parametrize("fresh,checks", [(False, 1), (True, 6)])
-def test_each_emitted_agent_object_is_checked_once(monkeypatch, star5, fresh, checks):
-    # equal agents are still checked when they are new objects: only identity
-    # carries a verdict from one round to the next
+@pytest.mark.parametrize("undeclared,checks", [(False, 1), (True, 6)])
+def test_each_emitted_agent_object_is_checked_once(monkeypatch, star5, undeclared,
+                                                   checks):
+    # the source hands back one object on every call.  An undeclared source is
+    # asked, checked and answered on every round: the object carries no
+    # verdict.  A declaring one is asked once, since the learner's version
+    # never changes, and its agent is checked and answered once
     same = Agent(matrix_point(1), Ball(0.0), 1)
-    make = (lambda t: Agent(matrix_point(1), Ball(0.0), 1)) if fresh else (lambda t: same)
-    calls = _count_realizability_checks(monkeypatch)
-    tr = run_online(_Scripted(star5, 0, make), ConstantLearner(ALL_NEG),
-                    Setting.XD_AFTER, 6, 0)
-    assert len(calls) == checks
+    src = _Scripted(star5, 0, lambda t: same)
+    src.agent_follows_version = not undeclared
+    checked = _count_realizability_checks(monkeypatch)
+    answered = _count_responses(monkeypatch)
+    tr = run_online(src, ConstantLearner(ALL_NEG), Setting.XD_AFTER, 6, 0)
+    assert src.t == len(checked) == len(answered) == checks
     assert tr.mistakes == 6
 
 
 def test_a_repeated_agent_leaves_the_consistent_set_as_it_was(monkeypatch, star5):
-    # no declared target: the first agent rules out spoke 1, its repeats cost
-    # no check, spoke 2's positive keeps only spoke 2 of the four left, and
-    # spoke 2's immovable negative then empties the set at round 5
+    # no declared target: the first agent rules out spoke 1, its repeats are
+    # checked against the four left and rule out nothing more, spoke 2's
+    # positive keeps only spoke 2, and spoke 2's immovable negative then
+    # empties the set at round 5
     kill_1 = Agent(matrix_point(1), Ball(0.0), -1)
     script = [kill_1, kill_1, kill_1, Agent(matrix_point(2), Ball(0.0), 1),
               Agent(matrix_point(2), Ball(0.0), -1)]
@@ -269,7 +275,7 @@ def test_a_repeated_agent_leaves_the_consistent_set_as_it_was(monkeypatch, star5
     src = _Scripted(star5, None, lambda t: script[t - 1])
     with pytest.raises(RealizabilityError, match="round 5: no class member"):
         run_online(src, ConstantLearner(ALL_NEG), Setting.BLIND, 5, 0)
-    assert [calls.count(a) for a in script[2:]] == [5, 4, 1]
+    assert [calls.count(a) for a in script[2:]] == [5 + 4 + 4, 4, 1]
 
 
 class _Withholding(Learner):
@@ -600,7 +606,7 @@ def _skipped_rounds(monkeypatch, source, make, setting, T, seed):
     finalize, the adversary's estimate stream included, and return how many
     rounds the skipping runs did not play through ``run_round``.  The
     reference run plays an adaptive source through ``_FreshCopies``, so that
-    it plays no repeat span either and calls ``run_round`` every round."""
+    it plays no span either and calls ``run_round`` every round."""
     from stratgame import protocol
 
     made, played = [], [0]
@@ -697,8 +703,12 @@ def test_counts_runs_match_full_runs_against_the_probing_adversary(monkeypatch, 
 
 
 class _FreshCopies:
-    """An adaptive source that re-emits each agent of ``source`` as a new
-    object, so no agent object is ever played twice."""
+    """An undeclared source over ``source``: asked every round, it asks
+    ``source`` once per learner state version, as ``run_online`` asks a
+    declaring source, and hands back a new copy of that agent each round,
+    so every round plays through ``run_round`` against the same decisions."""
+
+    agent_follows_version = False
 
     def __init__(self, source):
         self.source = source
@@ -708,7 +718,15 @@ class _FreshCopies:
 
     def fresh(self):
         adv = self.source.fresh()
-        return SimpleNamespace(next_agent=lambda view: _copy(adv.next_agent(view)))
+        last = [None, None]  # the version and the agent decided for it
+
+        def next_agent(view):
+            version = view.learner.state_version()
+            if version is None or version != last[0]:
+                last[:] = version, adv.next_agent(view)
+            return _copy(last[1])
+
+        return SimpleNamespace(next_agent=next_agent)
 
 
 def _copy(agent):
@@ -731,8 +749,9 @@ def _count_responses(monkeypatch):
 
 @pytest.mark.parametrize("name", ["mwmr", "random-union"])
 def test_reused_responses_leave_the_run_as_it_was(monkeypatch, name):
-    # the probing adversary repeats each agent object until the learner's
-    # state changes; fresh copies of the same agents leave the memo unused
+    # the probing adversary's span answers each region once per learner
+    # version; asked every round, fresh copies of the same agents respond
+    # on every round
     from stratgame import protocol
 
     made = []
@@ -759,22 +778,21 @@ def test_reused_responses_leave_the_run_as_it_was(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["mwmr", "survivor:mwmr"])
-def test_the_probing_adversary_is_asked_twice_per_learner_state(monkeypatch, name):
-    # appE declares that its agent follows the learner's state version: each
-    # version is asked for its new agent and, once the agent repeats, for
-    # nothing until the version changes; every mwmr mistake shrinks the
-    # version space, so a run holds at most mistakes + 1 versions.  The
-    # survivor rule keeps its base's versions, and so its spans
-    from stratgame.environments import _ProbingState
+def test_the_probing_adversary_is_asked_once_per_learner_version(monkeypatch, name):
+    # appE declares that its agent follows the learner's state version, so it
+    # is asked once per version; every mwmr mistake shrinks the version
+    # space, so a run holds at most mistakes + 1 versions.  The survivor rule
+    # keeps its base's versions, and so its spans
+    from stratgame.environments import ProbingAdversary
 
     calls = []
-    real = _ProbingState.next_agent
+    real = ProbingAdversary.next_agent
 
     def counted(self, view):
         calls.append(view)
         return real(self, view)
 
-    monkeypatch.setattr(_ProbingState, "next_agent", counted)
+    monkeypatch.setattr(ProbingAdversary, "next_agent", counted)
     env = make_environment("appE", 16)
     for seed in range(3):
         calls.clear()
@@ -782,18 +800,18 @@ def test_the_probing_adversary_is_asked_twice_per_learner_state(monkeypatch, nam
                         make_learner(name, n=16, epsilon=0.1, delta=0.1),
                         Setting.XD_AFTER, 2000, seed, record="counts")
         assert tr.mistakes > 0
-        assert len(calls) <= 2 * (tr.mistakes + 1)
+        assert len(calls) <= tr.mistakes + 1
 
 
 @pytest.mark.parametrize("target", [0, None])
-@pytest.mark.parametrize("declared,asked", [(False, 6), (True, 2)])
+@pytest.mark.parametrize("declared,asked", [(False, 6), (True, 1)])
 def test_only_a_declaring_source_is_spared_the_repeated_rounds(star5, target,
                                                                declared, asked):
-    # one object on rounds 1-3, then another: seq-elim plays spoke 1, correct
+    # one object on calls 1-3, then another: seq-elim plays spoke 1, correct
     # on every round, so its version never changes.  Undeclared, the source
-    # is asked on every round; declared, the span from round 2 on trusts the
-    # declaration and asks no more, whether the rounds are skipped (declared
-    # target) or taken by run_correct (no target)
+    # is asked on every round; declared, it is asked at round 1 and the span
+    # trusts the declaration for the rest, whether the rounds are skipped
+    # (declared target) or taken by run_correct (no target)
     first = Agent(matrix_point(1), Ball(0.0), 1)
     then = Agent(matrix_point(1), Ball(0.0), 1)
     src = _Scripted(star5, target, lambda t: first if t <= 3 else then)
@@ -815,25 +833,59 @@ class _Cycling(ConstantLearner):
         return self.predictors[(self.t - 1) % len(self.predictors)]
 
 
-@pytest.mark.parametrize("fresh,responses", [(False, 4), (True, 12)])
-def test_a_repeated_agent_responds_once_per_region(monkeypatch, star5, fresh, responses):
-    # three regions in turn over 12 rounds: round 1 responds before the memo
-    # exists, and from round 2 on each region is answered once
+class _Versioned(_Cycling):
+    """A new state version after every 6th choice."""
+
+    def state_version(self):
+        return self.t // 6
+
+
+@pytest.mark.parametrize("undeclared,responses", [(False, 4), (True, 12)])
+def test_a_repeated_agent_responds_once_per_region(monkeypatch, star5, undeclared,
+                                                   responses):
+    # two regions in turn over 12 rounds and two learner versions: declared,
+    # each version's agent answers each region once; undeclared, every
+    # round responds
     space, hclass = star5
-    regions = [hclass[0], hclass[1], hclass.union((2, 3))]
-    same = Agent(matrix_point(0), Ball(1.0), 1)
-    make = (lambda t: _copy(same)) if fresh else (lambda t: same)
+    src = _Scripted(star5, 0, lambda t: Agent(matrix_point(0), Ball(1.0), 1))
+    src.agent_follows_version = not undeclared
     calls = _count_responses(monkeypatch)
-    tr = run_online(_Scripted(star5, 0, make), _Cycling(regions), Setting.XD_AFTER, 12, 0)
+    tr = run_online(src, _Versioned([hclass[0], hclass[1]]), Setting.XD_AFTER, 12, 0)
+    assert src.t == (12 if undeclared else 2)
     assert len(calls) == responses
     assert tr.mistakes == 0
-    assert [r.delta for r in tr.rounds] == [matrix_point(1), matrix_point(2),
-                                            matrix_point(3)] * 4
+    assert [r.delta for r in tr.rounds] == [matrix_point(1), matrix_point(2)] * 6
+
+
+class _Restless(ConstantLearner):
+    """A new state version on every observed round, or none at all."""
+
+    def __init__(self, predictor, versioned):
+        super().__init__(predictor)
+        self.versioned = versioned
+        self.seen = 0
+
+    def observe(self, feedback):
+        self.seen += 1
+
+    def state_version(self):
+        return self.seen if self.versioned else None
+
+
+@pytest.mark.parametrize("versioned", [True, False])
+def test_a_declaring_source_decides_every_round_for_a_restless_learner(star5, versioned):
+    # the declaration spares a source only the rounds that keep the version
+    same = Agent(matrix_point(1), Ball(0.0), 1)
+    src = _Scripted(star5, 0, lambda t: same)
+    src.agent_follows_version = True
+    tr = run_online(src, _Restless(ALL_NEG, versioned), Setting.XD_AFTER, 8, 0)
+    assert src.t == 8
+    assert tr.mistakes == 8
 
 
 def test_a_repeated_agent_draws_every_tie_under_uniform_ties(monkeypatch, star5):
-    # a tie draw reads the tie stream, so under uniform ties a repeated agent
-    # object reuses no response
+    # a tie draw reads the tie stream, so under uniform ties even a declaring
+    # source is asked every round and no response is reused
     from stratgame import protocol
 
     made = []
@@ -848,11 +900,12 @@ def test_a_repeated_agent_draws_every_tie_under_uniform_ties(monkeypatch, star5)
     same = Agent(matrix_point(0), Ball(1.0), 1)  # spokes 1 and 2 tie at distance 1
     src = _Scripted(star5, 0, lambda t: same)
     src.tie = TieBreak.UNIFORM_RANDOM
+    src.agent_follows_version = True
     calls = _count_responses(monkeypatch)
     tr = run_online(src, ConstantLearner(hclass.union((0, 1))), Setting.XD_AFTER, 40, 7)
     ref = random.Random("7:tie")
     spokes = [matrix_point(1 + ref.randrange(2)) for _ in range(40)]
-    assert len(calls) == 40
+    assert src.t == len(calls) == 40
     assert [r.delta for r in tr.rounds] == spokes
     assert len(set(spokes)) == 2
     assert made[-1].tie.getstate() == ref.getstate()
